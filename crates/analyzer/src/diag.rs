@@ -124,6 +124,16 @@ pub enum LintCode {
     UnsafeShiftInvalid,
     /// brick-safe: a row program's fast-row form diverges from its tape.
     UnsafeFastRowDivergent,
+    /// brick-safe: a plane row or plane tap of a staged (temporal) fused
+    /// program escapes its plane, a row's lane window escapes the row, or
+    /// a resolved plane offset disagrees with its tap.
+    UnsafePlaneEscapes,
+    /// brick-safe: a stage reads a plane row that the previous stage does
+    /// not write exactly once, before it.
+    UnsafePlaneUnwritten,
+    /// brick-safe: a lane some stored lane depends on is not computed —
+    /// outside its plane row's lane window, or outside a windowed load.
+    UnsafeDemandUncovered,
 }
 
 impl LintCode {
@@ -162,6 +172,9 @@ impl LintCode {
             LintCode::UnsafeRegRowEscapesFile => "BS009",
             LintCode::UnsafeShiftInvalid => "BS010",
             LintCode::UnsafeFastRowDivergent => "BS011",
+            LintCode::UnsafePlaneEscapes => "BS012",
+            LintCode::UnsafePlaneUnwritten => "BS013",
+            LintCode::UnsafeDemandUncovered => "BS014",
         }
     }
 
@@ -192,7 +205,10 @@ impl LintCode {
             | LintCode::UnsafeLaneGeometry
             | LintCode::UnsafeRegRowEscapesFile
             | LintCode::UnsafeShiftInvalid
-            | LintCode::UnsafeFastRowDivergent => Severity::Error,
+            | LintCode::UnsafeFastRowDivergent
+            | LintCode::UnsafePlaneEscapes
+            | LintCode::UnsafePlaneUnwritten
+            | LintCode::UnsafeDemandUncovered => Severity::Error,
             LintCode::DeadDef
             | LintCode::DuplicateLoad
             | LintCode::RedundantShift
@@ -464,6 +480,9 @@ mod tests {
             LintCode::UnsafeRegRowEscapesFile,
             LintCode::UnsafeShiftInvalid,
             LintCode::UnsafeFastRowDivergent,
+            LintCode::UnsafePlaneEscapes,
+            LintCode::UnsafePlaneUnwritten,
+            LintCode::UnsafeDemandUncovered,
         ];
         let mut codes: Vec<&str> = all.iter().map(|c| c.code()).collect();
         codes.sort_unstable();

@@ -5,8 +5,11 @@
 //! CPU under the interpreter and under the backend [`ExecutionMode`]
 //! dispatch selects — the acceptance cell behind the native execution
 //! backend (`brick_vm::native`). Best-of-N wall times, the relative
-//! spread across repetitions (the gate's noise figure), and the full run
-//! provenance (including the dispatched mode) are recorded.
+//! spread across repetitions (the gate's noise figure), the worker thread
+//! count, and the full run provenance (including the dispatched mode) are
+//! recorded. A second native series launches the fused `T = 2` kernel on
+//! the same cell — staged row tapes with per-block planes — and reports
+//! its throughput per *applied* timestep next to the `T = 1` series.
 //!
 //! [`run_bench_exec`] fails (so CI fails) when a real SIMD backend was
 //! dispatched at full scale and the speedup over the interpreter fell
@@ -24,7 +27,7 @@ use brick_codegen::{generate, CodegenOptions, LayoutKind};
 use brick_core::{BrickDims, BrickGrid};
 use brick_dsl::shape::StencilShape;
 use brick_dsl::DenseGrid;
-use brick_vm::{resolve_with, run_vector_brick_backend, Backend, CpuFeatures, ExecutionMode};
+use brick_vm::{resolve_with, run_vector_brick_backend, Backend, CpuFeatures, ExecutionMode, Plan};
 
 /// Domain size of the acceptance cell: the paper's full scale.
 pub const BENCH_EXEC_N: usize = 512;
@@ -49,6 +52,9 @@ pub const BENCH_EXEC_WIDTH: usize = 32;
 /// measured band by a noise margin and still catches any regression of
 /// the compiled path toward interpreter-class throughput.
 pub const MIN_NATIVE_SPEEDUP: f64 = 2.5;
+
+/// Fusion degree of the temporal series.
+pub const BENCH_EXEC_TEMPORAL_DEGREE: u32 = 2;
 
 /// Wall time and throughput of one backend over the measured cell.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -82,6 +88,31 @@ pub struct ExecCell {
     pub mode: String,
     /// Backend that mode dispatched to on this host.
     pub backend: String,
+    /// Worker threads the parallel executors ran on.
+    pub threads: usize,
+}
+
+/// The fused temporal series: `temporal_degree` timesteps per launch on
+/// the same cell and backend as [`BenchExec::native`].
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct TemporalMeasurement {
+    /// Timesteps fused into one launch.
+    pub temporal_degree: u32,
+    /// `Plan::safety().fused`: the kernel runs on staged row tapes, not
+    /// the step machine.
+    pub fused: bool,
+    /// Fused stages (one per level when fused).
+    pub stages: usize,
+    /// Best-of-N wall seconds for one launch (`temporal_degree` steps).
+    pub wall_s: f64,
+    /// Points per second per *applied* timestep at the best-of-N wall:
+    /// `temporal_degree · n³ / wall_s`.
+    pub points_per_s_per_step: f64,
+    /// Relative spread (`max/min - 1`) of the repetitions' wall times.
+    pub spread: f64,
+    /// `points_per_s_per_step / native.points_per_s`: above 1 when fusing
+    /// beats one-step launches per applied step.
+    pub vs_t1: f64,
 }
 
 /// The complete `BENCH_exec.json` document.
@@ -95,6 +126,8 @@ pub struct BenchExec {
     pub interpreter: ExecMeasurement,
     /// Native series under the dispatched backend.
     pub native: ExecMeasurement,
+    /// Fused temporal series under the same backend.
+    pub temporal: TemporalMeasurement,
     /// `native.points_per_s / interpreter.points_per_s`.
     pub speedup: f64,
     /// Relative spread of the per-repetition speedups (paired by index).
@@ -107,7 +140,7 @@ pub struct BenchExec {
 }
 
 /// `BENCH_exec.json` schema version.
-pub const EXEC_SCHEMA_VERSION: u64 = 1;
+pub const EXEC_SCHEMA_VERSION: u64 = 2;
 
 fn min_of(samples: &[f64]) -> f64 {
     samples.iter().copied().fold(f64::INFINITY, f64::min)
@@ -147,6 +180,19 @@ pub fn run_bench_exec(
         CodegenOptions::default(),
     )
     .map_err(|e| format!("codegen: {e}"))?;
+    let t = BENCH_EXEC_TEMPORAL_DEGREE;
+    let fused_kernel = generate(
+        &st,
+        &b,
+        LayoutKind::Brick,
+        BENCH_EXEC_WIDTH,
+        CodegenOptions {
+            temporal_degree: t,
+            ..CodegenOptions::default()
+        },
+    )
+    .map_err(|e| format!("codegen T={t}: {e}"))?;
+    let fused_plan = Plan::compile(&fused_kernel).map_err(|e| format!("plan T={t}: {e}"))?;
     let config_json = format!(
         r#"{{"bench":"exec","stencil":"{}","n":{n},"width":{}}}"#,
         shape.label(),
@@ -154,7 +200,8 @@ pub fn run_bench_exec(
     );
     let manifest = brick_obs::RunManifest::begin(&config_json).with_exec_mode(&mode.to_string());
 
-    let mut dense = DenseGrid::cubic(n, st.radius() as usize);
+    // halo for the fused series' reach T·r (the T = 1 kernel reads less)
+    let mut dense = DenseGrid::cubic(n, (t * st.radius() as u32) as usize);
     dense.fill_test_pattern();
     let input = BrickGrid::from_dense(&dense, BrickDims::for_simd_width(BENCH_EXEC_WIDTH));
     let mut output = BrickGrid::with_metadata(Arc::clone(input.decomp()), Arc::clone(input.info()));
@@ -165,14 +212,18 @@ pub fn run_bench_exec(
     // smaller sizes are cheap enough for five.
     let reps: usize = if n >= BENCH_EXEC_N { 3 } else { 5 };
     let t_run = Instant::now();
-    let mut measure = |series: Backend| -> Result<(ExecMeasurement, Vec<f64>), String> {
+    let mut launches = |k: &brick_codegen::VectorKernel, series: Backend| {
         let mut walls = Vec::with_capacity(reps);
         for _ in 0..reps {
             let t = Instant::now();
-            run_vector_brick_backend(&kernel, &input, &mut output, series)
+            run_vector_brick_backend(k, &input, &mut output, series)
                 .map_err(|e| format!("{series}: {e}"))?;
             walls.push(t.elapsed().as_secs_f64());
         }
+        Ok::<_, String>(walls)
+    };
+    let mut measure = |series: Backend| -> Result<(ExecMeasurement, Vec<f64>), String> {
+        let walls = launches(&kernel, series)?;
         let wall_s = min_of(&walls);
         Ok((
             ExecMeasurement {
@@ -186,6 +237,18 @@ pub fn run_bench_exec(
     };
     let (interpreter, interp_walls) = measure(Backend::Interpreter)?;
     let (native, native_walls) = measure(backend)?;
+    let temporal_walls = launches(&fused_kernel, backend)?;
+    let t_wall = min_of(&temporal_walls);
+    let per_step = f64::from(t) * (n * n * n) as f64 / t_wall.max(1e-9);
+    let temporal = TemporalMeasurement {
+        temporal_degree: t,
+        fused: fused_plan.safety().fused,
+        stages: fused_plan.safety().stages,
+        wall_s: t_wall,
+        points_per_s_per_step: per_step,
+        spread: spread_of(&temporal_walls),
+        vs_t1: per_step / native.points_per_s.max(1e-9),
+    };
 
     let rep_speedups: Vec<f64> = interp_walls
         .iter()
@@ -199,7 +262,12 @@ pub fn run_bench_exec(
     } else {
         0.0
     };
-    let all_walls: Vec<f64> = interp_walls.iter().chain(&native_walls).copied().collect();
+    let all_walls: Vec<f64> = interp_walls
+        .iter()
+        .chain(&native_walls)
+        .chain(&temporal_walls)
+        .copied()
+        .collect();
     let bench = BenchExec {
         schema: EXEC_SCHEMA_VERSION,
         exec: ExecCell {
@@ -210,9 +278,11 @@ pub fn run_bench_exec(
             cpu_features: features.to_string(),
             mode: mode.to_string(),
             backend: backend.to_string(),
+            threads: rayon::current_num_threads(),
         },
         interpreter,
         native,
+        temporal,
         speedup,
         speedup_spread: spread_of(&rep_speedups),
         min_speedup,
@@ -253,6 +323,12 @@ mod tests {
         let back: BenchExec = serde_json::from_str(&json).unwrap();
         assert_eq!(back.exec.backend, b.exec.backend);
         assert_eq!(back.schema, EXEC_SCHEMA_VERSION);
+        assert!(b.exec.threads >= 1);
+        // the fused T=2 series runs on staged tapes, one stage per level
+        assert_eq!(b.temporal.temporal_degree, 2);
+        assert!(b.temporal.fused);
+        assert_eq!(b.temporal.stages, 2);
+        assert!(b.temporal.wall_s > 0.0 && b.temporal.vs_t1 > 0.0);
     }
 
     #[test]

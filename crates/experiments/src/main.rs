@@ -285,9 +285,11 @@ DIR/BENCH_exec.json: the 7-point star at 512^3 (or N^3 with --n), bricks
 layout, interpreter vs the backend selected by --exec-mode (default
 'auto': AVX2 on x86_64, NEON on aarch64, portable otherwise). It prints
 the detected CPU features and the dispatched backend, records the mode
-in the run manifest, and exits non-zero if a SIMD backend runs below the
-10x acceptance floor at full scale. --exec-mode also sets the dispatch
-for any other numeric kernel execution in the process.
+and worker thread count, and exits non-zero if a SIMD backend runs below
+the 2.5x acceptance floor at full scale. A second series launches the
+fused T=2 kernel on the same cell and reports Mpts/s per applied step
+next to T=1. --exec-mode also sets the dispatch for any other numeric
+kernel execution in the process.
 
 --trace records hierarchical spans of the run and writes DIR/trace.json
 (Chrome trace_event format, loadable in chrome://tracing or Perfetto) and
@@ -431,6 +433,22 @@ fn main() -> ExitCode {
                     b.native.wall_s,
                     b.native.points_per_s / 1e6,
                     b.speedup
+                );
+                let tm = &b.temporal;
+                eprintln!(
+                    "fused T={} ({}, {} stages): {:.2}s per launch, {:.1} Mpts/s per applied \
+                     step — {:.2}x the T=1 series per step, {} threads",
+                    tm.temporal_degree,
+                    if tm.fused {
+                        "staged tapes"
+                    } else {
+                        "step machine"
+                    },
+                    tm.stages,
+                    tm.wall_s,
+                    tm.points_per_s_per_step / 1e6,
+                    tm.vs_t1,
+                    b.exec.threads
                 );
                 eprintln!("wrote {}", args.out.join("BENCH_exec.json").display());
             }

@@ -14,7 +14,7 @@ use brick_core::{ArrayGrid, BrickGrid, BrickNav};
 use rayon::prelude::*;
 
 use crate::geom::TraceGeometry;
-use crate::native::{self, Backend, ExecutionMode, NativeOps, Plan, RowOps};
+use crate::native::{self, fuse, Backend, ExecutionMode, NativeOps, Plan, RowOps};
 use crate::trace::TraceSink;
 
 /// Errors surfaced by the VM.
@@ -304,75 +304,56 @@ fn run_brick_plan<B: RowOps>(plan: &Plan, ops: &B, input: &BrickGrid, output: &m
     let w = plan.width();
     let in_raw = input.raw();
     let decomp = std::sync::Arc::clone(input.decomp());
+    // One register file per worker, reused across its blocks without
+    // re-zeroing: brick-lint's verifier (run by `Plan::compile` through
+    // the bounds proof) rejects any read of a register before its first
+    // write in block order (BL003), and partial loads zero-fill their
+    // row, so no value survives from one block into the next.
     output
         .raw_mut()
         .par_chunks_mut(vol)
         .enumerate()
-        .for_each(|(id, out_chunk)| {
-            let home = id as u32;
-            if !decomp.is_interior(home) {
-                return;
-            }
-            let mut regs = vec![0.0; plan.regs_len()];
-            plan.exec_block(
-                ops,
-                &mut regs,
-                |rx, ry, rz, lane0, dst| {
-                    let (b, off) =
-                        nav.resolve_rel(home, rx as i64 * w as i64, ry as i64, rz as i64);
-                    let s = b as usize * vol + off + lane0;
-                    dst.copy_from_slice(&in_raw[s..s + dst.len()]);
-                },
-                |ry, rz, src| {
-                    let off = dims.row_offset(ry as usize, rz as usize);
-                    out_chunk[off..off + w].copy_from_slice(src);
-                },
-            );
-        });
+        .for_each_init(
+            || vec![0.0; plan.regs_len()],
+            |regs, (id, out_chunk)| {
+                let home = id as u32;
+                if !decomp.is_interior(home) {
+                    return;
+                }
+                plan.exec_block(
+                    ops,
+                    regs,
+                    |rx, ry, rz, lane0, dst| {
+                        let (b, off) =
+                            nav.resolve_rel(home, rx as i64 * w as i64, ry as i64, rz as i64);
+                        let s = b as usize * vol + off + lane0;
+                        dst.copy_from_slice(&in_raw[s..s + dst.len()]);
+                    },
+                    |ry, rz, src| {
+                        let off = dims.row_offset(ry as usize, rz as usize);
+                        out_chunk[off..off + w].copy_from_slice(src);
+                    },
+                );
+            },
+        );
 }
 
-/// Fused-row brick executor: per interior block, resolve every tap once
-/// through the 27-neighbour table (indices precomputed at plan-compile
-/// time — no `div_euclid` chains here), then evaluate each output row's
-/// tape straight from the input slab. The register file never exists;
-/// see [`crate::native::fuse`] for why this is bit-identical to the
-/// interpreter and the step machine.
+/// Fused-row brick executor: per interior block, resolve every input tap
+/// once through the 27-neighbour table (indices precomputed at
+/// plan-compile time — no `div_euclid` chains here), then run the fused
+/// stages ([`fuse::run_block`]) straight from the input slab: a single
+/// stage for spatial kernels, one per fused level for temporal ones, with
+/// the intermediate levels in a per-worker plane buffer. The register
+/// file never exists; see [`crate::native::fuse`] for why this is
+/// bit-identical to the interpreter and the step machine.
 fn run_brick_fused<B: RowOps>(
-    fused: &crate::native::fuse::FusedKernel,
+    fused: &fuse::FusedKernel,
     plan: &Plan,
     ops: &B,
     input: &BrickGrid,
     output: &mut BrickGrid,
 ) {
-    use crate::native::fuse::MAX_TAPS;
-    let ntaps = fused.taps_len();
-    assert!(ntaps <= MAX_TAPS, "fused tap table exceeds executor buffer");
-    // Tier the per-block tap buffer so common kernels don't pay a
-    // MAX_TAPS-sized zeroing per block (the table holds one entry per
-    // distinct (tap, row) pair: star-7 on a 32x4x4 brick needs 64,
-    // star-13 and cube-27 just over 100).
-    if ntaps <= SMALL_TAPS {
-        run_brick_fused_nt::<B, SMALL_TAPS>(fused, plan, ops, input, output)
-    } else if ntaps <= MID_TAPS {
-        run_brick_fused_nt::<B, MID_TAPS>(fused, plan, ops, input, output)
-    } else {
-        run_brick_fused_nt::<B, MAX_TAPS>(fused, plan, ops, input, output)
-    }
-}
-
-/// Tap-buffer tiers; SMALL covers star-7 on the default brick, MID the
-/// rest of the paper suite except star-25.
-const SMALL_TAPS: usize = 64;
-const MID_TAPS: usize = 128;
-
-fn run_brick_fused_nt<B: RowOps, const NT: usize>(
-    fused: &crate::native::fuse::FusedKernel,
-    plan: &Plan,
-    ops: &B,
-    input: &BrickGrid,
-    output: &mut BrickGrid,
-) {
-    use crate::native::fuse::RTap;
+    use fuse::RTap;
     let info = std::sync::Arc::clone(input.info());
     let dims = input.dims();
     let vol = dims.volume();
@@ -380,7 +361,6 @@ fn run_brick_fused_nt<B: RowOps, const NT: usize>(
     let in_raw = input.raw();
     let decomp = std::sync::Arc::clone(input.decomp());
     let ntaps = fused.taps_len();
-    debug_assert!(ntaps <= NT);
     // Per-run premise of the compile-time tap-bounds proof (BS001/BS002):
     // the slab is whole bricks, and every adjacency entry of an interior
     // brick names an allocated one. Combined with the proved per-tap fact
@@ -399,21 +379,26 @@ fn run_brick_fused_nt<B: RowOps, const NT: usize>(
             }
         }
     }
+    let plane_len = fused.plane_len(w);
+    // Per-worker scratch: the resolved tap table (rewritten whole per
+    // block) and the planes of the intermediate stages.
     output
         .raw_mut()
         .par_chunks_mut(vol)
         .enumerate()
-        .for_each(|(id, out_chunk)| {
-            let home = id as u32;
-            if !decomp.is_interior(home) {
-                return;
-            }
-            let mut rtaps = [RTap::Direct { base: 0 }; NT];
-            fused.resolve_brick(info.row(home), vol, &mut rtaps[..ntaps]);
-            ops.eval_block(fused, &rtaps[..ntaps], in_raw, w, out_chunk, |rp| {
-                rp.out_off
-            });
-        });
+        .for_each_init(
+            || (vec![RTap::Direct { base: 0 }; ntaps], vec![0.0; plane_len]),
+            |(rtaps, planes), (id, out_chunk)| {
+                let home = id as u32;
+                if !decomp.is_interior(home) {
+                    return;
+                }
+                fused.resolve_brick(info.row(home), vol, rtaps);
+                fuse::run_block(ops, fused, rtaps, in_raw, w, planes, out_chunk, |rp| {
+                    rp.out_off
+                });
+            },
+        );
 }
 
 /// Shared validation for the array executors: layout, extents,
@@ -594,53 +579,59 @@ fn run_array_plan<B: RowOps>(plan: &Plan, ops: &B, input: &ArrayGrid, output: &m
 
     let raw_out = output.dense_mut().raw_mut();
     let body = &mut raw_out[halo * plane..(halo + nz) * plane];
+    // One register file per worker, reused without re-zeroing (see
+    // `run_brick_plan`).
     body.par_chunks_mut(block.bz * plane)
         .enumerate()
-        .for_each(|(tz, slab)| {
-            let oz = (tz * block.bz) as i64;
-            let mut regs = vec![0.0; plan.regs_len()];
-            for ty in 0..tiles_y {
-                for tx in 0..tiles_x {
-                    let ox = (tx * block.bx) as i64;
-                    let oy = (ty * block.by) as i64;
-                    plan.exec_block(
-                        ops,
-                        &mut regs,
-                        |rx, ry, rz, lane0, dst| {
-                            let y = oy + ry as i64;
-                            let z = oz + rz as i64;
-                            let x0 = ox + rx as i64 * w as i64 + lane0 as i64;
-                            let start =
-                                (((z + h) * sy as i64 + (y + h)) * sx as i64 + (x0 + h)) as usize;
-                            dst.copy_from_slice(&raw_in[start..start + dst.len()]);
-                        },
-                        |ry, rz, src| {
-                            // Index within the slab: z-local plane, full row.
-                            let zloc = rz as usize;
-                            let row = ((zloc * sy) as i64 + (oy + ry as i64 + h)) as usize;
-                            let start = row * sx + (ox + h) as usize;
-                            slab[start..start + w].copy_from_slice(src);
-                        },
-                    );
+        .for_each_init(
+            || vec![0.0; plan.regs_len()],
+            |regs, (tz, slab)| {
+                let oz = (tz * block.bz) as i64;
+                for ty in 0..tiles_y {
+                    for tx in 0..tiles_x {
+                        let ox = (tx * block.bx) as i64;
+                        let oy = (ty * block.by) as i64;
+                        plan.exec_block(
+                            ops,
+                            regs,
+                            |rx, ry, rz, lane0, dst| {
+                                let y = oy + ry as i64;
+                                let z = oz + rz as i64;
+                                let x0 = ox + rx as i64 * w as i64 + lane0 as i64;
+                                let start = (((z + h) * sy as i64 + (y + h)) * sx as i64 + (x0 + h))
+                                    as usize;
+                                dst.copy_from_slice(&raw_in[start..start + dst.len()]);
+                            },
+                            |ry, rz, src| {
+                                // Index within the slab: z-local plane, full row.
+                                let zloc = rz as usize;
+                                let row = ((zloc * sy) as i64 + (oy + ry as i64 + h)) as usize;
+                                let start = row * sx + (ox + h) as usize;
+                                slab[start..start + w].copy_from_slice(src);
+                            },
+                        );
+                    }
                 }
-            }
-        });
+            },
+        );
 }
 
-/// Fused-row array executor. On the dense layout every tap — including
-/// shifted ones, since rows are contiguous in `x` across tile seams —
-/// collapses to a single stride delta from the tile origin, computed once
-/// per run; per tile the taps resolve with one add each. The kernel's
-/// reach stays within the halo ([`check_array`]), so every resolved row
-/// lies inside the padded slab.
+/// Fused-row array executor. On the dense layout every input tap —
+/// including shifted ones, since rows are contiguous in `x` across tile
+/// seams — collapses to a single stride delta from the tile origin,
+/// computed once per run; per tile the taps resolve with one add each
+/// (window taps with two, one per row). The kernel's reach stays within
+/// the halo ([`check_array`]) and the per-run geometry premise places
+/// every tap row inside the padded slab, so the stages
+/// ([`fuse::run_block`]) read the input unchecked.
 fn run_array_fused<B: RowOps>(
-    fused: &crate::native::fuse::FusedKernel,
+    fused: &fuse::FusedKernel,
     plan: &Plan,
     ops: &B,
     input: &ArrayGrid,
     output: &mut ArrayGrid,
 ) {
-    use crate::native::fuse::{RTap, Tap, MAX_TAPS};
+    use fuse::{RTap, Tap};
     let (nx, ny, nz) = input.extents();
     let block = plan.block();
     let halo = input.dense().halo();
@@ -653,7 +644,6 @@ fn run_array_fused<B: RowOps>(
     let tiles_x = nx / block.bx;
     let tiles_y = ny / block.by;
     let ntaps = fused.taps_len();
-    assert!(ntaps <= MAX_TAPS, "fused tap table exceeds executor buffer");
     // Per-run instantiation of the tap-bounds obligation (BS001) for this
     // concrete geometry: every tap row of every tile stays inside the
     // padded slab. `check_array` already bounds the reach by the halo;
@@ -661,41 +651,83 @@ fn run_array_fused<B: RowOps>(
     // re-validating resolved taps per block.
     plan.check_array_geometry(nx, ny, nz, halo)
         .expect("array geometry violates the compile-time tap-bounds proof");
+    let row_delta =
+        |rx: i8, ry: i16, rz: i16| rz as i64 * plane + ry as i64 * sx as i64 + rx as i64 * w as i64;
     let deltas: Vec<i64> = fused
         .taps()
         .iter()
         .map(|t| match *t {
-            Tap::Direct { rx, ry, rz } => {
-                rz as i64 * plane + ry as i64 * sx as i64 + rx as i64 * w as i64
-            }
-            Tap::Shifted { ry, rz, dx } => rz as i64 * plane + ry as i64 * sx as i64 + dx as i64,
+            Tap::Direct { rx, ry, rz } => row_delta(rx, ry, rz),
+            Tap::Shifted { ry, rz, dx } => row_delta(0, ry, rz) + dx as i64,
+            // resolved per tile below
+            Tap::Window { .. } => 0,
         })
         .collect();
+    // Window taps resolve per tile to one base per row they read.
+    struct WindowTap {
+        slot: usize,
+        src: i64,
+        edge: i64,
+        dx: isize,
+        swin: [u8; 2],
+        ewin: [u8; 2],
+    }
+    let windows: Vec<WindowTap> = fused
+        .taps()
+        .iter()
+        .enumerate()
+        .filter_map(|(slot, t)| match *t {
+            Tap::Window { src, edge, dx } => Some(WindowTap {
+                slot,
+                src: row_delta(src.rx, src.ry, src.rz),
+                edge: row_delta(edge.rx, edge.ry, edge.rz),
+                dx: dx as isize,
+                swin: [src.lane0, src.lane0 + src.lanes],
+                ewin: [edge.lane0, edge.lane0 + edge.lanes],
+            }),
+            _ => None,
+        })
+        .collect();
+    let plane_len = fused.plane_len(w);
 
     let raw_out = output.dense_mut().raw_mut();
     let body = &mut raw_out[halo * (plane as usize)..(halo + nz) * (plane as usize)];
     body.par_chunks_mut(block.bz * plane as usize)
         .enumerate()
-        .for_each(|(tz, slab)| {
-            let oz = (tz * block.bz) as i64;
-            let mut rtaps = [RTap::Direct { base: 0 }; MAX_TAPS];
-            for ty in 0..tiles_y {
-                for tx in 0..tiles_x {
-                    let ox = (tx * block.bx) as i64;
-                    let oy = (ty * block.by) as i64;
-                    let origin = ((oz + h) * sy as i64 + (oy + h)) * sx as i64 + (ox + h);
-                    for (slot, d) in deltas.iter().enumerate() {
-                        rtaps[slot] = RTap::Direct {
-                            base: (origin + d) as usize,
-                        };
+        .for_each_init(
+            || (vec![RTap::Direct { base: 0 }; ntaps], vec![0.0; plane_len]),
+            |(rtaps, planes), (tz, slab)| {
+                let oz = (tz * block.bz) as i64;
+                for ty in 0..tiles_y {
+                    for tx in 0..tiles_x {
+                        let ox = (tx * block.bx) as i64;
+                        let oy = (ty * block.by) as i64;
+                        let origin = ((oz + h) * sy as i64 + (oy + h)) * sx as i64 + (ox + h);
+                        for (slot, d) in deltas.iter().enumerate() {
+                            rtaps[slot] = RTap::Direct {
+                                base: (origin + d) as usize,
+                            };
+                        }
+                        for wt in &windows {
+                            // a window row of the first tile may start left
+                            // of the slab: bases are wrapping offsets (see
+                            // `RTap::Window`), only in-window lanes are read
+                            rtaps[wt.slot] = RTap::Window {
+                                src: (origin + wt.src) as usize,
+                                edge: (origin + wt.edge) as usize,
+                                dx: wt.dx,
+                                swin: wt.swin,
+                                ewin: wt.ewin,
+                            };
+                        }
+                        fuse::run_block(ops, fused, rtaps, raw_in, w, planes, slab, |rp| {
+                            let row = rp.rz as i64 * sy as i64 + (oy + rp.ry as i64 + h);
+                            (row * sx as i64 + ox + h) as usize
+                        });
                     }
-                    ops.eval_block(fused, &rtaps[..ntaps], raw_in, w, slab, |rp| {
-                        let row = rp.rz as i64 * sy as i64 + (oy + rp.ry as i64 + h);
-                        (row * sx as i64 + ox + h) as usize
-                    });
                 }
-            }
-        });
+            },
+        );
 }
 
 /// Cheap per-trace compatibility check between a kernel and a geometry.
@@ -907,6 +939,225 @@ mod tests {
     fn array_scatter_matches_reference() {
         run_array_case(StencilShape::cube(2), 16, Strategy::Scatter, 8);
         run_array_case(StencilShape::star(4), 32, Strategy::Scatter, 8);
+    }
+
+    /// The plane-level differential: every demanded lane of every plane
+    /// row a staged (temporal) plan computes is bit-identical to the
+    /// interpreter's register holding the same IR value, on every
+    /// compiled backend of this host.
+    #[test]
+    fn plane_rows_match_interpreter_registers_on_demanded_lanes() {
+        use crate::native::fuse::{self, RTap};
+        let cases = [
+            (StencilShape::star(1), 2u32),
+            (StencilShape::star(1), 3),
+            (StencilShape::star(2), 2),
+            (StencilShape::cube(1), 2),
+        ];
+        let feats = native::CpuFeatures::detect();
+        let mut backends = vec![Backend::Portable];
+        if feats.avx2 && feats.fma {
+            backends.push(Backend::Avx2);
+        }
+        if feats.neon {
+            backends.push(Backend::Neon);
+        }
+        for (shape, t) in cases {
+            for w in [16usize, 32] {
+                let st = shape.stencil();
+                let b = st.default_bindings();
+                let opts = CodegenOptions {
+                    temporal_degree: t,
+                    ..CodegenOptions::default()
+                };
+                let kernel = generate(&st, &b, LayoutKind::Brick, w, opts).unwrap();
+                let ctx = format!("{shape} w{w} t{t}");
+                let plan = Plan::compile(&kernel).unwrap();
+                let fused = plan.fused().unwrap_or_else(|| panic!("{ctx}: not fused"));
+                let halo = (t * shape.radius) as usize;
+                let mut dense = DenseGrid::new(w, 8, 8, halo);
+                dense.fill_test_pattern();
+                let grid = BrickGrid::from_dense(&dense, kernel.block);
+                let (nav, dims, raw) = (grid.nav().clone(), grid.dims(), grid.raw());
+                let vol = dims.volume();
+                let home = (0..grid.decomp().num_bricks() as u32)
+                    .find(|&id| grid.decomp().is_interior(id))
+                    .expect("an interior brick");
+                let n = fused.stages.len();
+                let demand = fuse::demanded(&fused.stages, w);
+                // the interpreter's register after each origin op
+                let mut want: Vec<Vec<Vec<f64>>> = Vec::new();
+                for st in &fused.stages[..n - 1] {
+                    let mut rows = Vec::new();
+                    for &op in &st.origins {
+                        let mut prefix = kernel.clone();
+                        prefix.ops.truncate(op as usize + 1);
+                        let mut regs = vec![0.0; kernel.num_regs * w];
+                        let mut scratch = vec![0.0; w];
+                        exec_block(
+                            &prefix,
+                            &mut regs,
+                            &mut scratch,
+                            |rx, ry, rz, lane0, dst| {
+                                let (bb, off) = nav.resolve_rel(
+                                    home,
+                                    rx as i64 * w as i64,
+                                    ry as i64,
+                                    rz as i64,
+                                );
+                                let s = bb as usize * vol + off + lane0;
+                                dst.copy_from_slice(&raw[s..s + dst.len()]);
+                            },
+                            |_, _, _| {},
+                        );
+                        let dst = kernel.ops[op as usize].def().expect("origin op defines");
+                        rows.push(regs[dst as usize * w..(dst as usize + 1) * w].to_vec());
+                    }
+                    want.push(rows);
+                }
+                for backend in &backends {
+                    let mut rtaps = vec![RTap::Direct { base: 0 }; fused.taps_len()];
+                    fused.resolve_brick(grid.info().row(home), vol, &mut rtaps);
+                    let mut planes = vec![f64::NAN; fused.plane_len(w)];
+                    let mut out = vec![0.0; vol];
+                    fn staged<B: RowOps>(
+                        ops: &B,
+                        f: &fuse::FusedKernel,
+                        rtaps: &[RTap],
+                        raw: &[f64],
+                        w: usize,
+                        planes: &mut [f64],
+                        out: &mut [f64],
+                    ) {
+                        fuse::run_block(ops, f, rtaps, raw, w, planes, out, |rp| rp.out_off);
+                    }
+                    let (pl, o) = (&mut planes, &mut out);
+                    match native::ops_for(*backend).unwrap() {
+                        NativeOps::Portable(ops) => staged(&ops, fused, &rtaps, raw, w, pl, o),
+                        #[cfg(target_arch = "x86_64")]
+                        NativeOps::Avx2(ops) => staged(&ops, fused, &rtaps, raw, w, pl, o),
+                        #[cfg(target_arch = "aarch64")]
+                        NativeOps::Neon(ops) => staged(&ops, fused, &rtaps, raw, w, pl, o),
+                    }
+                    let mut base = 0;
+                    let mut lanes = 0usize;
+                    for (k, st) in fused.stages[..n - 1].iter().enumerate() {
+                        for (r, reg) in want[k].iter().enumerate() {
+                            let m = demand[k][r];
+                            for (i, want) in reg.iter().enumerate() {
+                                if m >> i & 1 == 0 {
+                                    continue;
+                                }
+                                let got = planes[base + r * w + i];
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want.to_bits(),
+                                    "{ctx} via {backend}: stage {} row {r} lane {i} \
+                                     ({got:e} vs interpreter {want:e})",
+                                    k + 1
+                                );
+                                lanes += 1;
+                            }
+                        }
+                        base += st.rows.len() * w;
+                    }
+                    assert!(lanes > 0, "{ctx}: no demanded plane lanes checked");
+                }
+            }
+        }
+    }
+
+    // Fused tapes against the step machine, per paper cell (gather, w32,
+    // both layouts, every feasible T) on the host's `Auto` backend: the
+    // same compiled plan run with and without its fused program, best of
+    // 3 launches on a 192³ grid (56 MiB per field, input and output
+    // together past a 100 MiB L3). Kept out of normal runs:
+    // `cargo test -p brick-vm --release --lib -- --ignored --nocapture fused_vs_step`
+    #[test]
+    #[ignore]
+    fn fused_vs_step_machine() {
+        const N: usize = 192;
+        let ops = native::ops_for(native::resolve(ExecutionMode::Auto).unwrap()).unwrap();
+        fn launch<B: RowOps>(
+            plan: &Plan,
+            ops: &B,
+            layout: LayoutKind,
+            bricks: &(BrickGrid, BrickGrid),
+            arrays: &(ArrayGrid, ArrayGrid),
+        ) -> f64 {
+            (0..4)
+                .map(|_| match layout {
+                    LayoutKind::Brick => {
+                        let mut out = bricks.1.clone();
+                        let t0 = std::time::Instant::now();
+                        run_brick_plan(plan, ops, &bricks.0, &mut out);
+                        t0.elapsed().as_secs_f64()
+                    }
+                    LayoutKind::Array => {
+                        let mut out = arrays.1.clone();
+                        let t0 = std::time::Instant::now();
+                        run_array_plan(plan, ops, &arrays.0, &mut out);
+                        t0.elapsed().as_secs_f64()
+                    }
+                })
+                .skip(1)
+                .fold(f64::INFINITY, f64::min)
+        }
+        println!("cell                        taps stages  fused_s   step_s  step/fused");
+        for shape in StencilShape::paper_suite() {
+            let st = shape.stencil();
+            let b = st.default_bindings();
+            for t in 1..=4u32 {
+                let opts = CodegenOptions {
+                    temporal_degree: t,
+                    ..CodegenOptions::default()
+                };
+                let Ok(probe) = generate(&st, &b, LayoutKind::Brick, 32, opts) else {
+                    continue;
+                };
+                let halo = (t * shape.radius) as usize;
+                let mut dense = DenseGrid::new(N, N, N, halo);
+                dense.fill_test_pattern();
+                let bin = BrickGrid::from_dense(&dense, probe.block);
+                let bout =
+                    BrickGrid::with_metadata(Arc::clone(bin.decomp()), Arc::clone(bin.info()));
+                let bricks = (bin, bout);
+                let arrays = (ArrayGrid::from_dense(&dense), ArrayGrid::new(N, N, N, halo));
+                drop(dense);
+                for layout in [LayoutKind::Brick, LayoutKind::Array] {
+                    let kernel = generate(&st, &b, layout, 32, opts).unwrap();
+                    let plan = Plan::compile(&kernel).unwrap();
+                    let Some(fused) = plan.fused() else {
+                        println!("{shape} {layout} t{t}: not fused");
+                        continue;
+                    };
+                    let (taps, stages) = (fused.taps_len(), fused.stages.len());
+                    let mut step = plan.clone();
+                    step.fused = None;
+                    let (f, s) = match &ops {
+                        NativeOps::Portable(o) => (
+                            launch(&plan, o, layout, &bricks, &arrays),
+                            launch(&step, o, layout, &bricks, &arrays),
+                        ),
+                        #[cfg(target_arch = "x86_64")]
+                        NativeOps::Avx2(o) => (
+                            launch(&plan, o, layout, &bricks, &arrays),
+                            launch(&step, o, layout, &bricks, &arrays),
+                        ),
+                        #[cfg(target_arch = "aarch64")]
+                        NativeOps::Neon(o) => (
+                            launch(&plan, o, layout, &bricks, &arrays),
+                            launch(&step, o, layout, &bricks, &arrays),
+                        ),
+                    };
+                    println!(
+                        "{:<27} {taps:>4} {stages:>6} {f:>8.4} {s:>8.4} {:>10.2}",
+                        format!("{shape} {layout} t{t}"),
+                        s / f
+                    );
+                }
+            }
+        }
     }
 
     #[test]

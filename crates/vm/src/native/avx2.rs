@@ -12,8 +12,10 @@
 //!    tap indices in range (BS002/BS004), seam shifts in `(0, w)`
 //!    (BS003), value-stack discipline (BS005), stores inside the home
 //!    block and non-overlapping (BS006/BS007), lane geometry (BS008),
-//!    register rows inside the file (BS009/BS010), and fast-chain
-//!    fidelity (BS011) — is discharged *statically*, before a plan
+//!    register rows inside the file (BS009/BS010), fast-chain fidelity
+//!    (BS011), and for staged plans plane rows/taps inside their planes,
+//!    written before read, covering every demanded lane (BS012–BS014) —
+//!    is discharged *statically*, before a plan
 //!    exists. Debug builds re-assert the per-block conditions
 //!    ([`fuse::check_taps`]); release builds run on the proof alone.
 //! 2. Each safe wrapper below re-asserts, per call, that every row offset
@@ -34,7 +36,7 @@ use core::arch::x86_64::{
     _mm256_setzero_pd, _mm256_storeu_pd, _mm256_stream_pd, _mm_prefetch, _mm_sfence, _MM_HINT_T0,
 };
 
-use super::fuse::{self, RTap, TapeOp, MAX_STACK};
+use super::fuse::{self, RTap, StageIo, TapeOp, MAX_STACK};
 use super::RowOps;
 
 /// AVX2+FMA rows. Constructible only when the host supports both features.
@@ -112,21 +114,22 @@ impl RowOps for Avx2Ops {
 
     fn eval_block<F: Fn(&fuse::RowProg) -> usize>(
         &self,
-        fused: &fuse::FusedKernel,
+        rows: &[fuse::RowProg],
         rtaps: &[RTap],
         raw: &[f64],
         w: usize,
         out: &mut [f64],
         row_start: F,
+        io: StageIo,
     ) {
         // The tap-bounds argument (every row base the tapes can load is
         // inside `raw`, shift distances in `(0, w)`) is discharged at
-        // compile time by brick-safe (BS001–BS003) plus the per-run
-        // premise checks in `crate::exec`; debug builds re-assert it per
-        // block. The per-tape half (tap ids, stack discipline) is
-        // enforced by ordinary bounds-checked indexing inside
-        // `eval_tape`/`eval_fast`, so no pointer can escape the slab even
-        // for a malformed tape.
+        // compile time by brick-safe (BS001–BS003, BS012 for plane taps)
+        // plus the per-run premise checks in `crate::exec`; debug builds
+        // re-assert it per block. The per-tape half (tap ids, stack
+        // discipline) is enforced by ordinary bounds-checked indexing
+        // inside `eval_tape`/`eval_fast`, so no pointer can escape the
+        // slab even for a malformed tape.
         if cfg!(debug_assertions) {
             fuse::check_taps(rtaps, raw.len(), w);
         }
@@ -134,31 +137,45 @@ impl RowOps for Avx2Ops {
         // each) scattered across up to 27 neighbour bricks — a pattern
         // the hardware prefetcher cannot follow across slab boundaries.
         // Issue one prefetch per cache line of every tap row up front so
-        // the DRAM fetches overlap the first rows' arithmetic.
-        let touch = |base: usize| {
-            let mut line = 0;
-            while line < w {
-                // SAFETY: prefetch is a hint — it cannot fault — and
-                // `base + w <= raw.len()` holds by the BS001 proof plus
-                // the executor's per-run premise anyway.
-                unsafe {
-                    _mm_prefetch::<_MM_HINT_T0>(raw.as_ptr().add(base + line).cast());
+        // the DRAM fetches overlap the first rows' arithmetic. (Plane
+        // stages skip this: their operand is a cache-resident plane.)
+        if io.prefetch {
+            let touch = |base: usize| {
+                let mut line = 0;
+                while line < w {
+                    // SAFETY: prefetch is a hint — it cannot fault — and
+                    // `base + w <= raw.len()` holds by the BS001 proof
+                    // plus the executor's per-run premise anyway.
+                    unsafe {
+                        _mm_prefetch::<_MM_HINT_T0>(raw.as_ptr().add(base + line).cast());
+                    }
+                    line += 8;
                 }
-                line += 8;
-            }
-        };
-        for rt in rtaps {
-            match *rt {
-                RTap::Direct { base } => touch(base),
-                RTap::Split { home, nbr, .. } => {
-                    touch(home);
-                    touch(nbr);
+            };
+            for rt in rtaps {
+                match *rt {
+                    RTap::Direct { base } => touch(base),
+                    RTap::Split { home, nbr, .. } => {
+                        touch(home);
+                        touch(nbr);
+                    }
+                    // window rows (arrays only) may start left of the
+                    // slab; they are a few lanes each, not worth a hint
+                    RTap::Window { .. } => {}
                 }
             }
         }
-        for rp in fused.rows() {
+        for rp in rows {
             let s = row_start(rp);
             let out_row = &mut out[s..s + w];
+            if !rp.is_full(w) {
+                // Plane rows narrowed to their demanded chunks (the `E±`
+                // rows of a temporal kernel) are a few lanes each: the
+                // safe portable evaluator handles them.
+                let [lo, hi] = rp.lanes.map(usize::from);
+                fuse::eval_lanes_portable(&rp.tape, rtaps, raw, w, lo, hi, out_row);
+                continue;
+            }
             // SAFETY: tap rows in-bounds by the BS001–BS003 proof plus
             // the executor's per-run premise (re-asserted above in debug
             // builds); `out_row.len() == w` by the slice; avx2+fma
@@ -167,10 +184,11 @@ impl RowOps for Avx2Ops {
             // only shift which instantiation runs, with the stack
             // indexing inside staying bounds-checked.
             unsafe {
+                let st = io.stream;
                 match (w, &rp.fast) {
-                    (16, Some(fr)) => eval_fast::<4>(fr, rtaps, raw, out_row),
-                    (32, Some(fr)) => eval_fast::<8>(fr, rtaps, raw, out_row),
-                    (64, Some(fr)) => eval_fast::<16>(fr, rtaps, raw, out_row),
+                    (16, Some(fr)) => eval_fast::<4>(fr, rtaps, raw, out_row, st),
+                    (32, Some(fr)) => eval_fast::<8>(fr, rtaps, raw, out_row, st),
+                    (64, Some(fr)) => eval_fast::<16>(fr, rtaps, raw, out_row, st),
                     (16, None) if rp.max_sp == 0 => {
                         eval_tape::<4, 0>(&rp.tape, rtaps, raw, out_row)
                     }
@@ -187,12 +205,14 @@ impl RowOps for Avx2Ops {
                 }
             }
         }
-        // Drain the write-combining buffers of `eval_fast`'s non-temporal
-        // stores before the output chunk is handed back (required for
-        // cross-thread visibility under a parallel executor; a plain
-        // store fence, negligible once per block).
-        // SAFETY: SFENCE is baseline SSE on x86-64, no memory operand.
-        unsafe { _mm_sfence() };
+        if io.stream {
+            // Drain the write-combining buffers of `eval_fast`'s
+            // non-temporal stores before the output chunk is handed back
+            // (required for cross-thread visibility under a parallel
+            // executor; a plain store fence, negligible once per block).
+            // SAFETY: SFENCE is baseline SSE on x86-64, no memory operand.
+            unsafe { _mm_sfence() };
+        }
     }
 }
 
@@ -214,6 +234,7 @@ unsafe fn eval_fast<const NC: usize>(
     rtaps: &[RTap],
     raw: &[f64],
     out: &mut [f64],
+    stream: bool,
 ) {
     let p = raw.as_ptr();
     let mut acc = [_mm256_setzero_pd(); NC];
@@ -261,12 +282,14 @@ unsafe fn eval_fast<const NC: usize>(
         }
     }
     let op = out.as_mut_ptr();
-    if (op as usize).is_multiple_of(32) {
+    if stream && (op as usize).is_multiple_of(32) {
         // Non-temporal stores: the output is write-only during a sweep,
         // so bypassing the cache avoids the read-for-ownership — a third
         // of the sweep's DRAM traffic at full scale. Rows are whole
         // cache lines here (aligned, w ≥ 16). The caller fences once per
-        // block (`_mm_sfence`) before the chunk is handed back.
+        // block (`_mm_sfence`) before the chunk is handed back. Plane
+        // rows (`stream == false`) are re-read by the next stage and stay
+        // cached.
         for (c, a) in acc.iter().enumerate() {
             // SAFETY: out.len() == 4·NC asserted by the caller; 32-byte
             // alignment checked above.
@@ -280,25 +303,25 @@ unsafe fn eval_fast<const NC: usize>(
     }
 }
 
-/// One 4-lane chunk of a split (shifted) tap; the rare mixed chunk at the
-/// home/neighbour seam goes through the cold outlined gather.
+/// One 4-lane chunk of any resolved tap: direct and in-row split chunks
+/// are single loads; the rare mixed chunk at the home/neighbour seam and
+/// window-tap chunks go through the cold outlined gathers.
 ///
 /// # Safety
-/// `check_taps` invariants (`home/nbr + w ≤ raw.len()`, `0 < |dx| < w`)
-/// with `w = 4·NC` and `c < NC`.
+/// `check_taps` invariants (`base/home/nbr + w ≤ raw.len()`,
+/// `0 < |dx| < w`; window lanes inside the slab) with `w = 4·NC` and
+/// `c < NC`.
 #[target_feature(enable = "avx2,fma")]
 #[inline]
 unsafe fn load_split<const NC: usize>(rt: RTap, p: *const f64, c: usize) -> __m256d {
-    let RTap::Split { home, nbr, dx } = rt else {
-        // Direct taps are handled by the callers' fast arms; reloading
-        // here keeps this total for the (cold) mixed dispatch.
-        let RTap::Direct { base } = rt else {
-            unreachable!()
-        };
-        // SAFETY: validated row `base`.
-        return unsafe { _mm256_loadu_pd(p.add(base + 4 * c)) };
-    };
     let w = (NC * 4) as isize;
+    let (home, nbr, dx) = match rt {
+        RTap::Split { home, nbr, dx } => (home, nbr, dx),
+        // SAFETY: lanes [4c, 4c+4) of the validated row `base`.
+        RTap::Direct { base } => return unsafe { _mm256_loadu_pd(p.add(base + 4 * c)) },
+        // SAFETY: the window contract of `gather_window`.
+        RTap::Window { .. } => return unsafe { gather_window(rt, p, w, c) },
+    };
     let j0 = (4 * c) as isize + dx;
     // SAFETY: in every branch, lane j of `home` is read only for
     // 0 ≤ j < w; the wrapped lane j∓w ∈ [0, w) of `nbr` otherwise —
@@ -314,6 +337,49 @@ unsafe fn load_split<const NC: usize>(rt: RTap, p: *const f64, c: usize) -> __m2
             gather_seam(p, home, nbr, w, j0)
         }
     }
+}
+
+/// Chunk `c` of an array window tap ([`RTap::Window`]): each lane reads
+/// its row only inside the row's window, `0.0` elsewhere. Cold: window
+/// taps carry the narrow `E±` edge rows of temporal kernels on dense
+/// arrays, a few lanes per block.
+///
+/// # Safety
+/// `rt` is a window tap whose in-window lanes lie inside the allocation
+/// behind `p` (BS001 via the per-run array geometry premise); `w` is the
+/// row width and `c < w/4`. Row bases are wrapping offsets — only the
+/// index of an in-window lane is ever turned into a pointer.
+#[target_feature(enable = "avx2,fma")]
+#[cold]
+#[inline(never)]
+unsafe fn gather_window(rt: RTap, p: *const f64, w: isize, c: usize) -> __m256d {
+    let RTap::Window {
+        src,
+        edge,
+        dx,
+        swin,
+        ewin,
+    } = rt
+    else {
+        unreachable!("gather_window takes window taps only")
+    };
+    let mut t = [0.0f64; 4];
+    for (l, v) in t.iter_mut().enumerate() {
+        let j = (4 * c + l) as isize + dx;
+        let (row, win, j) = if j < 0 {
+            (edge, ewin, j + w)
+        } else if j >= w {
+            (edge, ewin, j - w)
+        } else {
+            (src, swin, j)
+        };
+        if (win[0] as isize..win[1] as isize).contains(&j) {
+            // SAFETY: an in-window lane, inside the slab per the contract.
+            *v = unsafe { *p.add(row.wrapping_add(j as usize)) };
+        }
+    }
+    // SAFETY: `t` is a local 4-lane buffer.
+    unsafe { _mm256_loadu_pd(t.as_ptr()) }
 }
 
 /// Lane-by-lane gather of the one chunk per row that straddles the
@@ -416,6 +482,13 @@ unsafe fn apply<const NC: usize, const MODE: u8>(
                         _mm256_loadu_pd(t.as_ptr())
                     }
                 };
+                *a = combine::<MODE>(*a, t, cv);
+            }
+        }
+        RTap::Window { .. } => {
+            for (c, a) in acc.iter_mut().enumerate() {
+                // SAFETY: the window contract of `gather_window`, c < NC.
+                let t = unsafe { gather_window(rt, p, (NC * 4) as isize, c) };
                 *a = combine::<MODE>(*a, t, cv);
             }
         }
@@ -617,6 +690,54 @@ mod tests {
         }
     }
 
+    #[test]
+    fn split_and_window_chunks_match_the_scalar_lanes_for_every_shift() {
+        if Avx2Ops::new().is_none() {
+            return; // host without avx2+fma
+        }
+        for w in [16usize, 32, 64] {
+            let raw: Vec<f64> = (0..2 * w).map(|i| i as f64 + 0.5).collect();
+            for dx in -(w as isize - 1)..w as isize {
+                let window = |swin, ewin| RTap::Window {
+                    src: 0,
+                    edge: w,
+                    dx,
+                    swin,
+                    ewin,
+                };
+                let wu = w as u8;
+                let mut taps = vec![window([1, wu - 2], [2, 5]), window([0, wu], [wu - 4, wu])];
+                if dx != 0 {
+                    taps.push(RTap::Split {
+                        home: 0,
+                        nbr: w,
+                        dx,
+                    });
+                }
+                for rt in taps {
+                    for c in 0..w / 4 {
+                        let mut got = [0.0f64; 4];
+                        // SAFETY: both rows lie inside `raw`, 0 < |dx| < w
+                        // for split taps, window lanes inside the rows,
+                        // c < w/4; avx2+fma checked above.
+                        unsafe {
+                            let v = match w {
+                                16 => load_split::<4>(rt, raw.as_ptr(), c),
+                                32 => load_split::<8>(rt, raw.as_ptr(), c),
+                                _ => load_split::<16>(rt, raw.as_ptr(), c),
+                            };
+                            _mm256_storeu_pd(got.as_mut_ptr(), v);
+                        }
+                        for (l, g) in got.iter().enumerate() {
+                            let want = fuse::tap_lane(&rt, &raw, w, 4 * c + l);
+                            assert_eq!(*g, want, "w={w} {rt:?} lane {}", 4 * c + l);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     // Micro-benchmark for the fused evaluator, kept out of normal runs:
     // `cargo test -p brick-vm --release -- --ignored --nocapture eval_row_micro`
     #[test]
@@ -683,6 +804,7 @@ mod tests {
         let b = st.default_bindings();
         let k = generate(&st, &b, LayoutKind::Brick, 32, CodegenOptions::default()).unwrap();
         let fused = fuse::fuse(&k).expect("star-7 fuses");
+        let rows = fused.out_rows();
         let w = k.width;
         let vol = k.block.bx * k.block.by * k.block.bz;
         let raw: Vec<f64> = (0..32 * vol).map(|i| 0.173 * (i as f64) - 11.0).collect();
@@ -701,17 +823,26 @@ mod tests {
                     nbr: 16 * vol + (i % 16) * w,
                     dx: dx as isize,
                 },
+                fuse::Tap::Window { .. } => unreachable!("T=1 star-7 has no window taps"),
             })
             .collect();
         let mut out = vec![0.0; vol];
         let iters = 400_000u64;
         let t0 = std::time::Instant::now();
         for _ in 0..iters {
-            ops.eval_block(&fused, &rtaps, &raw, w, &mut out, |rp| rp.out_off);
+            ops.eval_block(
+                rows,
+                &rtaps,
+                &raw,
+                w,
+                &mut out,
+                |rp| rp.out_off,
+                StageIo::SINGLE,
+            );
             std::hint::black_box(&mut out);
         }
         let dt = t0.elapsed().as_secs_f64();
-        let rows = fused.rows().len() as f64;
+        let rows = rows.len() as f64;
         let rows_per_s = iters as f64 * rows / dt;
         println!(
             "eval_block micro: {:.1} Mrows/s ({:.1} Mpts/s, {:.0} cycles/row at 2.1GHz)",
@@ -733,6 +864,116 @@ mod tests {
             "resolve micro: {:.0} cycles/brick ({:.1} cycles/row)",
             2.1e9 * dt / iters as f64,
             2.1e9 * dt / (iters as f64 * rows)
+        );
+    }
+
+    // Per-stage cost of a fused T=2 star-7 block next to the T=1 block,
+    // in cache (best of 5 trials): the compute half of the staged
+    // executor, stage by stage.
+    // `cargo test -p brick-vm --release -- --ignored --nocapture stage_micro`
+    #[test]
+    #[ignore]
+    fn stage_micro() {
+        use brick_codegen::{generate, CodegenOptions, LayoutKind};
+        use brick_dsl::shape::StencilShape;
+
+        let Some(ops) = Avx2Ops::new() else {
+            return;
+        };
+        let st = StencilShape::star(1).stencil();
+        let b = st.default_bindings();
+        let fused_t = |t: u32| {
+            let opts = CodegenOptions {
+                temporal_degree: t,
+                ..CodegenOptions::default()
+            };
+            fuse::fuse(&generate(&st, &b, LayoutKind::Brick, 32, opts).unwrap()).unwrap()
+        };
+        let (f1, f2) = (fused_t(1), fused_t(2));
+        let w = 32;
+        let vol = w * 16;
+        // 27 bricks, brick i at slot i: every neighbour allocated
+        let raw: Vec<f64> = (0..27 * vol)
+            .map(|i| 0.173 * (i % 977) as f64 - 11.0)
+            .collect();
+        let row27: [u32; 27] = std::array::from_fn(|i| i as u32);
+        let iters = 50_000u64;
+        // best-of-5 cycles per call at 2.1 GHz
+        let cycles = |f: &mut dyn FnMut()| {
+            (0..5)
+                .map(|_| {
+                    let t0 = std::time::Instant::now();
+                    for _ in 0..iters {
+                        f();
+                    }
+                    2.1e9 * t0.elapsed().as_secs_f64() / iters as f64
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let mut out = vec![0.0; vol];
+        let mut rt1 = vec![RTap::Direct { base: 0 }; f1.taps_len()];
+        let resolve1 = cycles(&mut || {
+            f1.resolve_brick(&row27, vol, &mut rt1);
+            std::hint::black_box(&mut rt1);
+        });
+        let t1 = cycles(&mut || {
+            ops.eval_block(
+                f1.out_rows(),
+                &rt1,
+                &raw,
+                w,
+                &mut out,
+                |rp| rp.out_off,
+                StageIo::SINGLE,
+            );
+            std::hint::black_box(&mut out);
+        });
+        let mut rt2 = vec![RTap::Direct { base: 0 }; f2.taps_len()];
+        let resolve2 = cycles(&mut || {
+            f2.resolve_brick(&row27, vol, &mut rt2);
+            std::hint::black_box(&mut rt2);
+        });
+        let (s1, s2) = (&f2.stages[0], &f2.stages[1]);
+        let mut planes = vec![0.0; f2.plane_len(w)];
+        let io1 = StageIo {
+            prefetch: true,
+            stream: false,
+        };
+        let (full, part): (Vec<_>, Vec<_>) = s1.rows.iter().cloned().partition(|rp| rp.is_full(w));
+        let stage = |rows: &[fuse::RowProg], planes: &mut Vec<f64>| {
+            cycles(&mut || {
+                ops.eval_block(rows, &rt2, &raw, w, planes, |rp| rp.out_off, io1);
+                std::hint::black_box(&mut *planes);
+            })
+        };
+        let (c_full, c_part) = (stage(&full, &mut planes), stage(&part, &mut planes));
+        let io2 = StageIo {
+            prefetch: false,
+            stream: true,
+        };
+        let c2 = cycles(&mut || {
+            ops.eval_block(
+                &s2.rows,
+                &s2.rtaps,
+                &planes,
+                w,
+                &mut out,
+                |rp| rp.out_off,
+                io2,
+            );
+            std::hint::black_box(&mut out);
+        });
+        println!(
+            "T=1 block: resolve {resolve1:.0} + {} rows {t1:.0} cycles",
+            f1.out_rows().len()
+        );
+        println!(
+            "T=2 block: resolve {resolve2:.0} ({} taps) + stage 1 {} whole rows {c_full:.0} \
+             + {} narrowed rows {c_part:.0} + stage 2 {} rows {c2:.0} cycles",
+            f2.taps_len(),
+            full.len(),
+            part.len(),
+            s2.rows.len()
         );
     }
 

@@ -7,15 +7,21 @@
 //! kernels are supposed to have, in two layers:
 //!
 //! 1. **Lowering** ([`Plan::compile`]): the verified IR is lowered once per
-//!    kernel to a flat step program with pre-resolved register offsets,
-//!    inlined coefficient values, and shuffles (`ShiftX`) reduced to at most
-//!    two contiguous range copies. Elementwise steps write their destination
-//!    row in place (lane `i` depends only on lane `i`, so no scratch row is
-//!    needed except for the rare aliased shift).
-//! 2. **Row backends** ([`RowOps`]): the elementwise steps (`Add`/`Mul`/
-//!    `Fma`) execute through a monomorphic backend — a safe portable
-//!    implementation (the `Auto` floor on hosts without SIMD), AVX2+FMA
-//!    intrinsics behind `is_x86_feature_detected!`, or NEON on aarch64.
+//!    kernel to fused row tapes ([`fuse`]) — one accumulator program per
+//!    output row, reading taps straight from the input grid, with no
+//!    register file. Temporally fused kernels, whose shifts read
+//!    *computed* rows, lower to one stage of tapes per fused level: the
+//!    intermediate rows a later level shifts or reuses go to small
+//!    per-block planes, narrowed to the lanes a stored lane depends on.
+//!    The kernels the fusion analysis declines (it names why) keep a flat
+//!    step program with pre-resolved register offsets, inlined
+//!    coefficient values, and shuffles (`ShiftX`) reduced to at most two
+//!    contiguous range copies.
+//! 2. **Row backends** ([`RowOps`]): fused stages and the step program's
+//!    elementwise steps execute through a monomorphic backend — a safe
+//!    portable implementation (the `Auto` floor on hosts without SIMD),
+//!    AVX2+FMA intrinsics behind `is_x86_feature_detected!`, or NEON on
+//!    aarch64.
 //!
 //! Every backend is **bit-identical** to the interpreter: lowering preserves
 //! the interpreter's operation order and fusion exactly, and the only
@@ -42,9 +48,10 @@
 //!   re-checked against the kernel's declared shape before lowering, and the
 //!   footprint pass's load reach bounds every out-of-block access (checked
 //!   against ghost/halo coverage by the callers in [`crate::exec`]);
-//! * brick-safe's obligations over the lowered form (BS001–BS011) — tap and
+//! * brick-safe's obligations over the lowered form (BS001–BS014) — tap and
 //!   store rows in-slab for all blocks, seam shifts in range, tape stack
-//!   discipline, lane geometry, register-file bounds — plus the cheap
+//!   discipline, lane geometry, register-file bounds, plane rows and taps
+//!   inside their planes and written before they are read — plus the cheap
 //!   per-run premise checks in [`crate::exec`] (whole-brick slab with valid
 //!   interior adjacency rows; array tap intervals inside the padded slab
 //!   via `Plan::check_array_geometry`);
@@ -295,24 +302,30 @@ pub(crate) trait RowOps: Sync {
         fuse::eval_row_portable(tape, rtaps, raw, w, out);
     }
 
-    /// Evaluate every row program of a fused kernel for one resolved
+    /// Evaluate the row programs of one fused stage for one resolved
     /// block. `row_start(rp)` maps a row program to its starting offset
-    /// in `out` (brick-local for bricks, slab-relative for arrays). The
+    /// in `out` (brick-local or slab-relative for output rows, the plane
+    /// offset for plane rows); each row writes its computed lane window
+    /// `rp.lanes` there. `io` says whether the operand rows are worth
+    /// prefetching and whether the stores may stream past the cache. The
     /// block granularity lets SIMD backends validate the tap table once
     /// instead of re-walking each tape per row — the hot path for the
-    /// compiled backends.
+    /// compiled backends, shared by every stage of a temporal kernel.
+    #[allow(clippy::too_many_arguments)]
     fn eval_block<F: Fn(&fuse::RowProg) -> usize>(
         &self,
-        fused: &fuse::FusedKernel,
+        rows: &[fuse::RowProg],
         rtaps: &[fuse::RTap],
         raw: &[f64],
         w: usize,
         out: &mut [f64],
         row_start: F,
+        _io: fuse::StageIo,
     ) {
-        for rp in fused.rows() {
+        for rp in rows {
             let s = row_start(rp);
-            fuse::eval_row_portable(&rp.tape, rtaps, raw, w, &mut out[s..s + w]);
+            let [lo, hi] = rp.lanes.map(usize::from);
+            fuse::eval_lanes_portable(&rp.tape, rtaps, raw, w, lo, hi, &mut out[s..s + w]);
         }
     }
 }

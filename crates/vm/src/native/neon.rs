@@ -2,7 +2,7 @@
 //!
 //! Mirrors [`super::avx2`] with 2-lane `float64x2_t` vectors; see that
 //! module for the three-layer safety argument (brick-safe compile-time
-//! proof BS001–BS011, per-call row assertions, feature-gated
+//! proof BS001–BS014, per-call row assertions, feature-gated
 //! construction). NEON is part of
 //! the aarch64 baseline, so detection is trivially true on this
 //! architecture. `vfmaq_f64` is the correctly-rounded IEEE-754 fused
@@ -79,23 +79,32 @@ impl RowOps for NeonOps {
 
     fn eval_block<F: Fn(&fuse::RowProg) -> usize>(
         &self,
-        fused: &fuse::FusedKernel,
+        rows: &[fuse::RowProg],
         rtaps: &[RTap],
         raw: &[f64],
         w: usize,
         out: &mut [f64],
         row_start: F,
+        _io: fuse::StageIo,
     ) {
         // Same split as the AVX2 backend: tap-table bounds hold by the
-        // brick-safe proof (BS001–BS003) plus the executor's per-run
-        // premise, re-asserted here in debug builds; tap ids and stack
-        // depth stay bounds-checked per op.
+        // brick-safe proof (BS001–BS003, BS012) plus the executor's
+        // per-run premise, re-asserted here in debug builds; tap ids and
+        // stack depth stay bounds-checked per op. Plain stores only, so
+        // the stage's streaming hint has nothing to select.
         if cfg!(debug_assertions) {
             fuse::check_taps(rtaps, raw.len(), w);
         }
-        for rp in fused.rows() {
+        for rp in rows {
             let s = row_start(rp);
             let out_row = &mut out[s..s + w];
+            if !rp.is_full(w) {
+                // Plane rows narrowed to their demanded chunks are a few
+                // lanes each: the safe portable evaluator handles them.
+                let [lo, hi] = rp.lanes.map(usize::from);
+                fuse::eval_lanes_portable(&rp.tape, rtaps, raw, w, lo, hi, out_row);
+                continue;
+            }
             // SAFETY: tap rows in-bounds by the BS001–BS003 proof plus
             // the executor's per-run premise (re-asserted above in debug
             // builds); `out_row.len() == w` by the slice; NEON is
@@ -191,6 +200,38 @@ unsafe fn apply<const NC: usize, const MODE: u8>(
                         vld1q_f64(t.as_ptr())
                     }
                 };
+                acc[c] = combine::<MODE>(acc[c], t, cv);
+            }
+        }
+        RTap::Window {
+            src,
+            edge,
+            dx,
+            swin,
+            ewin,
+        } => {
+            let w = (NC * 2) as isize;
+            for c in 0..NC {
+                let mut t = [0.0f64; 2];
+                for (l, v) in t.iter_mut().enumerate() {
+                    let j = (2 * c + l) as isize + dx;
+                    let (row, win, j) = if j < 0 {
+                        (edge, ewin, j + w)
+                    } else if j >= w {
+                        (edge, ewin, j - w)
+                    } else {
+                        (src, swin, j)
+                    };
+                    if (win[0] as isize..win[1] as isize).contains(&j) {
+                        // SAFETY: an in-window lane of a window tap,
+                        // inside the slab by BS001 (array geometry
+                        // premise); bases are wrapping offsets, so only
+                        // this in-window index forms a pointer.
+                        *v = unsafe { *p.add(row.wrapping_add(j as usize)) };
+                    }
+                }
+                // SAFETY: `t` is a local 2-lane buffer.
+                let t = unsafe { vld1q_f64(t.as_ptr()) };
                 acc[c] = combine::<MODE>(acc[c], t, cv);
             }
         }

@@ -123,6 +123,8 @@ pub struct Plan {
     /// Fused-row program when the kernel's IR proved row-fusable (see
     /// [`super::fuse`]); `None` falls back to the step machine.
     pub(crate) fused: Option<FusedKernel>,
+    /// Why fusion declined the kernel (`None` when `fused` is set).
+    pub(crate) fallback: Option<&'static str>,
     /// Summary of the brick-safe proof discharged by [`Plan::compile`].
     pub(crate) safety: SafetySummary,
 }
@@ -232,9 +234,12 @@ impl Plan {
                 },
             });
         }
-        let fused = fuse::fuse(kernel);
+        let (fused, fallback) = match fuse::fuse(kernel) {
+            Ok(f) => (Some(f), None),
+            Err(why) => (None, Some(why)),
+        };
         // brick-safe: discharge every memory-safety obligation the native
-        // backends rely on (BS001–BS011) before the plan can exist. An
+        // backends rely on (BS001–BS014) before the plan can exist. An
         // unprovable plan never reaches a dispatcher.
         let safety = safe::prove(
             &kernel.name,
@@ -252,6 +257,7 @@ impl Plan {
             steps,
             reach: proof.reach,
             fused,
+            fallback,
             safety,
         })
     }
@@ -259,6 +265,13 @@ impl Plan {
     /// The fused-row program, when the kernel proved fusable.
     pub(crate) fn fused(&self) -> Option<&FusedKernel> {
         self.fused.as_ref()
+    }
+
+    /// Why the fused-row analysis declined this kernel, so it runs on the
+    /// step machine; `None` for fused plans. The reasons are stable
+    /// strings (the fusion census pins them per kernel).
+    pub fn fallback_reason(&self) -> Option<&'static str> {
+        self.fallback
     }
 
     /// Summary of the brick-safe proof discharged at compile time.

@@ -6,14 +6,14 @@
 //! (ox+h)` per tile and `delta = rz·plane + ry·sx + dxe` per tap
 //! (`dxe = rx·w` for direct taps, the fold-in shift `dx` for shifted
 //! ones), then reads lanes `raw[base .. base+w]` unchecked in the SIMD
-//! paths. That is in bounds iff each coordinate axis of every tap row of
+//! paths — or, for a window tap, only the lanes of each row's window. That is in bounds iff each coordinate axis of every tap row of
 //! every tile stays inside the padded slab — a condition linear in the
 //! tile origin, so checking the extreme origins per axis covers all
 //! tiles. The check is O(taps), run once per `run()`.
 
 use brick_lint::Report;
 
-use super::super::fuse::Tap;
+use super::super::fuse::{Seg, Tap};
 use super::super::plan::Plan;
 use super::Prover;
 use brick_lint::LintCode;
@@ -52,27 +52,42 @@ pub(crate) fn check(
     let max_oz = (tiles_z as i64 - 1) * b.bz as i64;
     let mut p = Prover::new(&format!("array {nx}x{ny}x{nz} halo {halo}"));
     for (i, tap) in f.taps.iter().enumerate() {
-        let (dxe, ry, rz) = match *tap {
-            Tap::Direct { rx, ry, rz } => (rx as i64 * w, ry as i64, rz as i64),
-            Tap::Shifted { ry, rz, dx } => (dx as i64, ry as i64, rz as i64),
+        // (x offset of lane 0, first lane read, lanes read, ry, rz) per
+        // row the tap reads: whole rows, or exactly a window row's lanes
+        let rows: Vec<(i64, i64, i64, i64, i64)> = match *tap {
+            Tap::Direct { rx, ry, rz } => vec![(rx as i64 * w, 0, w, ry as i64, rz as i64)],
+            Tap::Shifted { ry, rz, dx } => vec![(dx as i64, 0, w, ry as i64, rz as i64)],
+            Tap::Window { src, edge, dx } => {
+                let seg = |s: Seg| {
+                    let (lo, n) = (s.lane0 as i64, s.lanes as i64);
+                    (s.rx as i64 * w, lo, n, s.ry as i64, s.rz as i64)
+                };
+                if dx == 0 {
+                    vec![seg(src)]
+                } else {
+                    vec![seg(src), seg(edge)]
+                }
+            }
         };
-        // Tap base address decomposes per axis; each axis index is
-        // monotone in the tile origin, so the two extreme origins bound
-        // all tiles.
-        let x_ok = h + dxe >= 0 && max_ox + h + dxe + w <= sx;
-        let y_ok = h + ry >= 0 && max_oy + h + ry < sy;
-        let z_ok = h + rz >= 0 && max_oz + h + rz < sz;
-        p.obligation(
-            x_ok && y_ok && z_ok,
-            LintCode::UnsafeTapEscapesSlab,
-            Some(i),
-            || {
-                format!(
-                    "tap {i} (dx {dxe}, ry {ry}, rz {rz}) escapes the \
-                     {sx}x{sy}x{sz} padded slab for some tile"
-                )
-            },
-        );
+        for (dxe, lo, n, ry, rz) in rows {
+            // Tap base address decomposes per axis; each axis index is
+            // monotone in the tile origin, so the two extreme origins
+            // bound all tiles.
+            let x_ok = h + dxe + lo >= 0 && max_ox + h + dxe + lo + n <= sx;
+            let y_ok = h + ry >= 0 && max_oy + h + ry < sy;
+            let z_ok = h + rz >= 0 && max_oz + h + rz < sz;
+            p.obligation(
+                x_ok && y_ok && z_ok,
+                LintCode::UnsafeTapEscapesSlab,
+                Some(i),
+                || {
+                    format!(
+                        "tap {i} (dx {dxe}, lanes {lo}+{n}, ry {ry}, rz {rz}) escapes the \
+                         {sx}x{sy}x{sz} padded slab for some tile"
+                    )
+                },
+            );
+        }
     }
     p.finish().map(|_| ())
 }

@@ -11,7 +11,7 @@
 //! and the fused [`super::fuse::FusedKernel`] tape.
 //!
 //! Every property is an explicit **proof obligation** with a stable
-//! diagnostic code (`BS001`–`BS011`, catalogued in
+//! diagnostic code (`BS001`–`BS014`, catalogued in
 //! [`brick_lint::LintCode`] and DESIGN.md §13). A violated obligation
 //! becomes a [`brick_lint::Diagnostic`] anchored at the offending tape op
 //! or step; the whole report is returned as
@@ -48,12 +48,18 @@ pub struct SafetySummary {
     /// alias check, and stack-discipline condition counts once).
     pub obligations: usize,
     /// Whether the plan carries a fused-row program (the fused
-    /// obligations BS001–BS004, BS006–BS008, BS011 only apply then).
+    /// obligations BS001–BS008, BS011–BS014 only apply then).
     pub fused: bool,
     /// Number of taps in the fused tap table (0 when not fused).
     pub taps: usize,
     /// Number of fused output-row programs (0 when not fused).
     pub rows: usize,
+    /// Fused stages: 1 for spatial kernels, one per fused level for
+    /// temporal ones (0 when not fused).
+    pub stages: usize,
+    /// Plane rows the intermediate stages materialize per block (0 for
+    /// single-stage and non-fused plans).
+    pub plane_rows: usize,
 }
 
 /// Accumulates obligations and failures during a proof pass.
@@ -122,7 +128,9 @@ pub(crate) fn prove(
         obligations,
         fused: fused.is_some(),
         taps: fused.map_or(0, FusedKernel::taps_len),
-        rows: fused.map_or(0, |f| f.rows().len()),
+        rows: fused.map_or(0, |f| f.out_rows().len()),
+        stages: fused.map_or(0, |f| f.stages.len()),
+        plane_rows: fused.map_or(0, FusedKernel::plane_rows),
     })
 }
 

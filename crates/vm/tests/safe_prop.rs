@@ -2,7 +2,7 @@
 //!
 //! The prover must be *complete* for the compiler: every plan
 //! `Plan::compile` produces — paper suite × layouts × widths ×
-//! strategies — proves safe (zero false positives; `compile` itself runs
+//! strategies, and every feasible temporal degree — proves safe (zero false positives; `compile` itself runs
 //! the prover, so a false positive would abort compilation). One verdict
 //! covers every execution mode: the obligations target the strictest
 //! backend (SIMD fused with streaming stores), and the scalar/portable
@@ -80,6 +80,54 @@ fn array_geometry_premise_holds_at_paper_sizes() {
                 });
         }
     }
+}
+
+/// Every feasible temporal (T ≥ 2) plan of the paper suite: staged
+/// plans with plane taps, plane rows and lane windows prove safe (BS012–
+/// BS014 included) with zero false positives, deterministically, and the
+/// array geometry premise holds with the `T·r` halo the executors use.
+#[test]
+fn brick_safe_accepts_every_temporal_plan() {
+    let mut proved = 0usize;
+    for shape in StencilShape::paper_suite() {
+        let st = shape.stencil();
+        let b = st.default_bindings();
+        for layout in [LayoutKind::Brick, LayoutKind::Array] {
+            for w in [16usize, 32, 64] {
+                for t in 2..=4u32 {
+                    let opts = CodegenOptions {
+                        temporal_degree: t,
+                        ..CodegenOptions::default()
+                    };
+                    let Ok(k) = generate(&st, &b, layout, w, opts) else {
+                        continue; // infeasible degree
+                    };
+                    let plan = Plan::compile(&k).unwrap_or_else(|e| {
+                        panic!("false positive on {shape} {layout} w{w} t{t}: {e}")
+                    });
+                    let s = plan.safety();
+                    assert!(
+                        s.fused && s.stages == t as usize,
+                        "{shape} {layout} w{w} t{t}"
+                    );
+                    assert!(s.plane_rows > 0, "{shape} {layout} w{w} t{t}: no planes");
+                    assert_eq!(plan.verify_safety().expect("re-proof"), s);
+                    if layout == LayoutKind::Array {
+                        let halo = (t * shape.radius) as usize;
+                        for n in [64usize, 128] {
+                            plan.check_array_geometry(n, n, n, halo).unwrap_or_else(|e| {
+                                panic!("false positive: {shape} w{w} t{t} at {n}^3 halo {halo}: {e}")
+                            });
+                        }
+                    }
+                    proved += 1;
+                }
+            }
+        }
+    }
+    // feasible T ≥ 2 degrees: star-7 and cube-27 three each, star-13 and
+    // cube-125 one each — 8 per (layout, width)
+    assert_eq!(proved, 8 * 6);
 }
 
 #[test]

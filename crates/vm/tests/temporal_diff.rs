@@ -14,11 +14,14 @@
 //!    sequential chain writes zero output ghosts, so its values near the
 //!    boundary consume zeros where the fused kernel consumed real halo
 //!    data. Inside that margin the fusion must be exact.
-//! 3. **Native execution modes** — the fused kernel under the portable
-//!    compiled backend (and AVX2/NEON where detected) against the
-//!    interpreter, full raw storage. Temporal kernels shift *computed*
-//!    rows, which the native tape-fusion pass refuses by design; this
-//!    pins the step-machine fallback to the interpreter bit for bit.
+//! 3. **Native execution modes** — every gather kernel, temporal ones
+//!    included, must compile to a *fused* plan (staged row tapes with
+//!    per-block planes, not the step machine), and that plan under the
+//!    portable compiled backend (and AVX2/NEON where detected) must match
+//!    the interpreter bit for bit over the full raw storage. The
+//!    plane-level half of this oracle — every demanded lane of every
+//!    intermediate plane row equals the interpreter's register — needs
+//!    the plan's internals and lives in `crate::exec`'s unit tests.
 //!
 //! The exactness argument lives in DESIGN.md §14; any change that
 //! reassociates the fused schedule must loosen this suite explicitly.
@@ -29,7 +32,7 @@ use brick_dsl::shape::StencilShape;
 use brick_dsl::{reference, CoeffBindings, DenseGrid};
 use brick_vm::{
     run_numeric_dense_mode, run_vector_array_backend, run_vector_brick_backend, Backend,
-    CpuFeatures, ExecutionMode, KernelSpec,
+    CpuFeatures, ExecutionMode, KernelSpec, Plan,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -160,7 +163,20 @@ fn check_config(shape: &StencilShape, b: &CoeffBindings, layout: LayoutKind, wid
     let margin = (t as i64 - 1) * shape.radius as i64;
     assert_deep_interior_equal(&cur, &interp, margin, &format!("{ctx} vs sequential"));
 
-    // 3. native backends: full layout-native storage vs the interpreter
+    // 3. native backends: the plan fuses (no step-machine fallback), and
+    //    its output is the interpreter's over the full layout-native
+    //    storage
+    let plan = Plan::compile(&kt).unwrap();
+    assert!(
+        plan.safety().fused,
+        "{ctx}: fell back to the step machine ({:?})",
+        plan.fallback_reason()
+    );
+    assert_eq!(
+        plan.safety().stages,
+        t as usize,
+        "{ctx}: one stage per level"
+    );
     let feats = CpuFeatures::detect();
     let mut backends = vec![Backend::Portable];
     if feats.avx2 && feats.fma {
@@ -265,10 +281,9 @@ fn miri_smoke_temporal_portable_matches_interpreter() {
     assert_bits_equal(oracle.raw(), got.raw(), "miri smoke: temporal portable");
 }
 
-/// `TestRng` import sanity: `run_numeric_dense` under `Auto` resolves to a
-/// compiled backend on this host yet stays bit-identical for fused
-/// kernels (the step-machine fallback, since tape fusion refuses shifts
-/// of computed rows).
+/// `run_numeric_dense` under `Auto` resolves to a compiled backend on this
+/// host — the staged fused tapes for temporal kernels — yet stays
+/// bit-identical to the interpreter.
 #[test]
 fn numeric_dense_auto_matches_interpreter_for_fused() {
     let shape = StencilShape::cube(1);
@@ -276,6 +291,10 @@ fn numeric_dense_auto_matches_interpreter_for_fused() {
     let b = st.default_bindings();
     for t in [2u32, 4] {
         let kt = fused(&shape, &b, LayoutKind::Brick, 16, t);
+        assert!(
+            Plan::compile(&kt).unwrap().safety().fused,
+            "t{t}: not fused"
+        );
         let spec = KernelSpec::Vector(kt);
         let mut input = DenseGrid::new(16, 8, 8, t as usize);
         input.fill_test_pattern();

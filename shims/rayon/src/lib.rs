@@ -1,6 +1,6 @@
 //! Offline stand-in for `rayon` covering the API subset this workspace
 //! uses: `par_iter_mut` / `par_chunks_mut` on slices followed by
-//! `enumerate` / `map` / `for_each` / `collect`, plus
+//! `enumerate` / `map` / `for_each` / `for_each_init` / `collect`, plus
 //! [`ThreadPoolBuilder`] / [`ThreadPool::install`] for callers that need
 //! an explicit worker count (the sweep scheduler's `--jobs` knob).
 //!
@@ -92,18 +92,22 @@ impl ThreadPool {
     }
 }
 
+/// Worker threads a parallel iterator evaluated on this thread uses: the
+/// installed pool's count, else all available parallelism (rayon's
+/// free function of the same name).
+pub fn current_num_threads() -> usize {
+    POOL_THREADS.with(|c| c.get()).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(1)
+    })
+}
+
 /// Evaluate `f` over `items` on scoped worker threads; results keep the
 /// input order.
 fn par_eval<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
     let n = items.len();
-    let threads = POOL_THREADS
-        .with(|c| c.get())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
-        })
-        .min(n);
+    let threads = current_num_threads().min(n);
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
@@ -126,6 +130,41 @@ fn par_eval<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R
     out.into_iter()
         .map(|m| m.into_inner().unwrap().expect("worker wrote result"))
         .collect()
+}
+
+/// Run `f` over `items` on scoped worker threads, each worker threading
+/// its own state from one `init()` call through every item it takes.
+fn par_for_each_init<T: Send, S>(
+    items: Vec<T>,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, T) + Sync,
+) {
+    let n = items.len();
+    let threads = current_num_threads().min(n);
+    if threads <= 1 {
+        let mut state = init();
+        for item in items {
+            f(&mut state, item);
+        }
+        return;
+    }
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| {
+                let mut state = init();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let item = slots[i].lock().unwrap().take().expect("item taken once");
+                    f(&mut state, item);
+                }
+            });
+        }
+    });
 }
 
 /// A materialised parallel iterator.
@@ -151,6 +190,19 @@ impl<T: Send> ParIter<T> {
     /// Run `f` over every item in parallel.
     pub fn for_each<F: Fn(T) + Sync>(self, f: F) {
         par_eval(self.items, f);
+    }
+
+    /// Run `op` over every item in parallel with per-worker scratch:
+    /// `init` runs once per worker thread and its value is passed to
+    /// every `op` call that worker makes (rayon's signature; real rayon
+    /// may call `init` more than once per thread, this shim exactly
+    /// once).
+    pub fn for_each_init<S, INIT, OP>(self, init: INIT, op: OP)
+    where
+        INIT: Fn() -> S + Sync + Send,
+        OP: Fn(&mut S, T) + Sync + Send,
+    {
+        par_for_each_init(self.items, init, op);
     }
 
     /// Collect the (already ordered) items.
@@ -229,6 +281,41 @@ mod tests {
         let mut v: Vec<u32> = (0..100).collect();
         let out: Vec<u32> = pool.install(|| v.par_iter_mut().map(|x| *x * 3).collect());
         assert_eq!(out, (0..100).map(|x| x * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn for_each_init_runs_init_once_per_worker() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for threads in [1usize, 2, 3] {
+            let pool = crate::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            let inits = AtomicUsize::new(0);
+            let mut v = vec![0u32; 500];
+            pool.install(|| {
+                v.par_chunks_mut(7).enumerate().for_each_init(
+                    || {
+                        inits.fetch_add(1, Ordering::Relaxed);
+                        Vec::<u32>::new()
+                    },
+                    |seen, (i, chunk)| {
+                        // per-worker state persists across the items a
+                        // worker takes
+                        seen.push(i as u32);
+                        for x in chunk.iter_mut() {
+                            *x = i as u32 + 1;
+                        }
+                    },
+                );
+            });
+            assert!(v.iter().all(|&x| x > 0));
+            let n = inits.load(Ordering::Relaxed);
+            assert!(
+                (1..=threads).contains(&n),
+                "{n} inits for {threads} workers"
+            );
+        }
     }
 
     #[test]

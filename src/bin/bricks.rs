@@ -64,9 +64,10 @@ Exits non-zero if any kernel has error-severity diagnostics; --json
 emits machine-readable reports.
 
 `bricks lint --native` runs the brick-safe prover standalone: the
-compile-time memory-safety proof (obligations BS001-BS011) the native
+compile-time memory-safety proof (obligations BS001-BS014) the native
 SIMD backend relies on, re-discharged for every paper stencil at SIMD
-widths 16/32/64 in both layouts and both codegen strategies, plus the
+widths 16/32/64 in both layouts, both codegen strategies and every
+feasible temporal fusion degree (staged plans with planes), plus the
 array-layout geometry premise at 256^3. Exits non-zero if any plan is
 unprovable.
 
@@ -419,7 +420,7 @@ fn lint_cmd(target: Option<&str>, json: bool) -> Result<(), String> {
 /// for array layouts — the per-run geometry premise is discharged at the
 /// representative 256³ size. Any BSxxx diagnostic fails the command.
 fn lint_native_cmd(json: bool) -> Result<(), String> {
-    use bricks_repro::codegen::Strategy;
+    use bricks_repro::codegen::{CodegenError, Strategy};
     use bricks_repro::vm::Plan;
 
     let mut kernels = 0usize;
@@ -427,21 +428,33 @@ fn lint_native_cmd(json: bool) -> Result<(), String> {
     for shape in StencilShape::paper_suite() {
         let st = shape.stencil();
         let b = st.default_bindings();
+        // spatial plans under both strategies, plus every feasible fused
+        // temporal degree (always gather-scheduled, staged when fused)
+        let configs = [Strategy::Gather, Strategy::Scatter]
+            .map(|s| (s, 1u32))
+            .into_iter()
+            .chain((2..=4u32).map(|t| (Strategy::Gather, t)));
+        let configs: Vec<(Strategy, u32)> = configs.collect();
         for layout in [LayoutKind::Brick, LayoutKind::Array] {
             for width in [16usize, 32, 64] {
-                for strategy in [Strategy::Gather, Strategy::Scatter] {
+                for &(strategy, t) in &configs {
                     let opts = CodegenOptions {
                         strategy,
+                        temporal_degree: t,
                         ..CodegenOptions::default()
                     };
-                    let k = generate(&st, &b, layout, width, opts)
-                        .map_err(|e| format!("{shape} {layout} w{width}: {e}"))?;
+                    let k = match generate(&st, &b, layout, width, opts) {
+                        Ok(k) => k,
+                        // T·r beyond the block extent: no such kernel
+                        Err(CodegenError::TemporalTooDeep { .. }) => continue,
+                        Err(e) => return Err(format!("{shape} {layout} w{width} t{t}: {e}")),
+                    };
                     kernels += 1;
                     let verdict = Plan::compile(&k)
                         .and_then(|plan| {
                             let s = plan.verify_safety()?;
                             if layout == LayoutKind::Array {
-                                let halo = shape.radius as usize;
+                                let halo = (t * shape.radius) as usize;
                                 plan.check_array_geometry(256, 256, 256, halo)?;
                             }
                             Ok(s)
@@ -455,15 +468,18 @@ fn lint_native_cmd(json: bool) -> Result<(), String> {
                                 println!(
                                     "{{\"kernel\":\"{name}\",\"safe\":true,\
                                      \"obligations\":{},\"fused\":{},\
-                                     \"taps\":{},\"rows\":{}}}",
-                                    s.obligations, s.fused, s.taps, s.rows
+                                     \"taps\":{},\"rows\":{},\"stages\":{},\
+                                     \"plane_rows\":{}}}",
+                                    s.obligations, s.fused, s.taps, s.rows, s.stages, s.plane_rows
                                 );
                             } else {
                                 println!(
-                                    "ok   {name:44} {:4} obligations, {:3} taps, {:2} rows{}",
+                                    "ok   {name:44} {:6} obligations, {:4} taps, {:2} rows, \
+                                     {} stage(s){}",
                                     s.obligations,
                                     s.taps,
                                     s.rows,
+                                    s.stages,
                                     if s.fused { "" } else { " (unfused)" }
                                 );
                             }
