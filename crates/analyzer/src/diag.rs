@@ -116,12 +116,8 @@ pub enum LintCode {
     /// lanes for every native backend, or a fused plan's block x extent
     /// disagrees with the width.
     UnsafeLaneGeometry,
-    /// brick-safe: a step program row offset (or lane range) escapes the
-    /// register file the plan sizes.
-    UnsafeRegRowEscapesFile,
-    /// brick-safe: a step shift distance is invalid, or an aliased shift
-    /// was not routed through the scratch row.
-    UnsafeShiftInvalid,
+    // BS009 and BS010 are retired (they covered the deleted native step
+    // program); their numbers are not reused.
     /// brick-safe: a row program's fast-row form diverges from its tape.
     UnsafeFastRowDivergent,
     /// brick-safe: a plane row or plane tap of a staged (temporal) fused
@@ -169,8 +165,6 @@ impl LintCode {
             LintCode::UnsafeStoreEscapesBlock => "BS006",
             LintCode::UnsafeStoreOverlap => "BS007",
             LintCode::UnsafeLaneGeometry => "BS008",
-            LintCode::UnsafeRegRowEscapesFile => "BS009",
-            LintCode::UnsafeShiftInvalid => "BS010",
             LintCode::UnsafeFastRowDivergent => "BS011",
             LintCode::UnsafePlaneEscapes => "BS012",
             LintCode::UnsafePlaneUnwritten => "BS013",
@@ -203,8 +197,6 @@ impl LintCode {
             | LintCode::UnsafeStoreEscapesBlock
             | LintCode::UnsafeStoreOverlap
             | LintCode::UnsafeLaneGeometry
-            | LintCode::UnsafeRegRowEscapesFile
-            | LintCode::UnsafeShiftInvalid
             | LintCode::UnsafeFastRowDivergent
             | LintCode::UnsafePlaneEscapes
             | LintCode::UnsafePlaneUnwritten
@@ -477,14 +469,14 @@ mod tests {
             LintCode::UnsafeStoreEscapesBlock,
             LintCode::UnsafeStoreOverlap,
             LintCode::UnsafeLaneGeometry,
-            LintCode::UnsafeRegRowEscapesFile,
-            LintCode::UnsafeShiftInvalid,
             LintCode::UnsafeFastRowDivergent,
             LintCode::UnsafePlaneEscapes,
             LintCode::UnsafePlaneUnwritten,
             LintCode::UnsafeDemandUncovered,
         ];
         let mut codes: Vec<&str> = all.iter().map(|c| c.code()).collect();
+        // retired codes stay retired
+        assert!(!codes.contains(&"BS009") && !codes.contains(&"BS010"));
         codes.sort_unstable();
         codes.dedup();
         assert_eq!(codes.len(), all.len());

@@ -99,7 +99,7 @@ pub struct TemporalMeasurement {
     /// Timesteps fused into one launch.
     pub temporal_degree: u32,
     /// `Plan::safety().fused`: the kernel runs on staged row tapes, not
-    /// the step machine.
+    /// the interpreter.
     pub fused: bool,
     /// Fused stages (one per level when fused).
     pub stages: usize,

@@ -442,7 +442,7 @@ fn main() -> ExitCode {
                     if tm.fused {
                         "staged tapes"
                     } else {
-                        "step machine"
+                        "interpreter"
                     },
                     tm.stages,
                     tm.wall_s,

@@ -27,7 +27,7 @@ use brick_dsl::shape::StencilShape;
 use brick_dsl::{reference, CoeffBindings, DenseGrid};
 use brick_tuner::{validate, TuningSpace};
 use brick_vm::{
-    run_numeric_dense_mode, run_vector_brick_backend, Backend, ExecutionMode, KernelSpec,
+    run_numeric_dense_mode, run_vector_brick_backend, Backend, ExecutionMode, KernelSpec, Plan,
 };
 use gpu_sim::GpuArch;
 use proptest::prelude::*;
@@ -214,7 +214,10 @@ fn every_candidate_is_rejected_or_verifiable() {
 /// capacity. Every valid candidate must still generate and structurally
 /// validate; the capacity planner must reject at least one deeply-fused
 /// star-2 cell — the exact class that once crashed `bricks tune star 2`
-/// mid-sweep with a vreg-id overflow panic.
+/// mid-sweep with a vreg-id overflow panic. Every distinct valid program
+/// must also compile to a native plan — the brick-safe proof once
+/// rejected star-4 scatter 16×16 kernels whose 2560-tap tables exceeded a
+/// fixed cap — and every one narrower than the width-128 fold must fuse.
 #[test]
 fn deep_shapes_generate_or_are_rejected() {
     let arch = GpuArch::a100();
@@ -240,6 +243,18 @@ fn deep_shapes_generate_or_are_rejected() {
                 .unwrap_or_else(|e| panic!("{shape}: valid candidate {p} failed to generate: {e}"));
             k.validate()
                 .unwrap_or_else(|e| panic!("{shape}: {p} generated an invalid kernel: {e}"));
+            // every valid program compiles natively; only the width-128
+            // fold (64 lanes × 2) is declined by fusion and runs on the
+            // interpreter
+            let plan = Plan::compile(&k)
+                .unwrap_or_else(|e| panic!("{shape}: valid candidate {p} rejected natively: {e}"));
+            if p.width() != 128 {
+                assert_eq!(
+                    plan.fallback_reason(),
+                    None,
+                    "{shape}: valid candidate {p} does not fuse"
+                );
+            }
         }
     }
     assert!(

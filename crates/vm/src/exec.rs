@@ -237,12 +237,20 @@ pub fn run_vector_brick_backend(
         }
         backend => {
             let plan = Plan::compile(kernel)?;
-            match native::ops_for(backend)? {
-                NativeOps::Portable(ops) => run_brick_plan(&plan, &ops, input, output),
+            let ops = native::ops_for(backend)?;
+            // Fused tapes are the only compiled form: a kernel the fusion
+            // analysis declines (`Plan::fallback_reason`) runs on the
+            // interpreter.
+            let Some(fused) = plan.fused() else {
+                run_brick_interp(kernel, input, output);
+                return Ok(());
+            };
+            match ops {
+                NativeOps::Portable(ops) => run_brick_fused(fused, &plan, &ops, input, output),
                 #[cfg(target_arch = "x86_64")]
-                NativeOps::Avx2(ops) => run_brick_plan(&plan, &ops, input, output),
+                NativeOps::Avx2(ops) => run_brick_fused(fused, &plan, &ops, input, output),
                 #[cfg(target_arch = "aarch64")]
-                NativeOps::Neon(ops) => run_brick_plan(&plan, &ops, input, output),
+                NativeOps::Neon(ops) => run_brick_fused(fused, &plan, &ops, input, output),
             }
             Ok(())
         }
@@ -250,7 +258,8 @@ pub fn run_vector_brick_backend(
 }
 
 /// The interpreter path of [`run_vector_brick_mode`] — retained verbatim
-/// as the differential oracle for the compiled backends.
+/// as the differential oracle for the compiled backends, and the path of
+/// every kernel the fusion analysis declines.
 fn run_brick_interp(kernel: &VectorKernel, input: &BrickGrid, output: &mut BrickGrid) {
     let nav = input.nav().clone();
     let dims = input.dims();
@@ -287,57 +296,6 @@ fn run_brick_interp(kernel: &VectorKernel, input: &BrickGrid, output: &mut Brick
         });
 }
 
-/// Compiled-plan path of [`run_vector_brick_mode`]: same parallel
-/// structure as the interpreter, with the per-block IR walk replaced by
-/// [`Plan::exec_block`] over backend `B`. Input rows resolve through
-/// `BrickNav` exactly as the interpreter's do; the reach-vs-ghost check in
-/// [`check_brick`] (backed by the analyzer's bounds proof) guarantees every
-/// resolved row is inside the input allocation, so the row copies below
-/// cannot panic for a verified kernel.
-fn run_brick_plan<B: RowOps>(plan: &Plan, ops: &B, input: &BrickGrid, output: &mut BrickGrid) {
-    if let Some(fused) = plan.fused() {
-        return run_brick_fused(fused, plan, ops, input, output);
-    }
-    let nav = input.nav().clone();
-    let dims = input.dims();
-    let vol = dims.volume();
-    let w = plan.width();
-    let in_raw = input.raw();
-    let decomp = std::sync::Arc::clone(input.decomp());
-    // One register file per worker, reused across its blocks without
-    // re-zeroing: brick-lint's verifier (run by `Plan::compile` through
-    // the bounds proof) rejects any read of a register before its first
-    // write in block order (BL003), and partial loads zero-fill their
-    // row, so no value survives from one block into the next.
-    output
-        .raw_mut()
-        .par_chunks_mut(vol)
-        .enumerate()
-        .for_each_init(
-            || vec![0.0; plan.regs_len()],
-            |regs, (id, out_chunk)| {
-                let home = id as u32;
-                if !decomp.is_interior(home) {
-                    return;
-                }
-                plan.exec_block(
-                    ops,
-                    regs,
-                    |rx, ry, rz, lane0, dst| {
-                        let (b, off) =
-                            nav.resolve_rel(home, rx as i64 * w as i64, ry as i64, rz as i64);
-                        let s = b as usize * vol + off + lane0;
-                        dst.copy_from_slice(&in_raw[s..s + dst.len()]);
-                    },
-                    |ry, rz, src| {
-                        let off = dims.row_offset(ry as usize, rz as usize);
-                        out_chunk[off..off + w].copy_from_slice(src);
-                    },
-                );
-            },
-        );
-}
-
 /// Fused-row brick executor: per interior block, resolve every input tap
 /// once through the 27-neighbour table (indices precomputed at
 /// plan-compile time — no `div_euclid` chains here), then run the fused
@@ -345,7 +303,7 @@ fn run_brick_plan<B: RowOps>(plan: &Plan, ops: &B, input: &BrickGrid, output: &m
 /// stage for spatial kernels, one per fused level for temporal ones, with
 /// the intermediate levels in a per-worker plane buffer. The register
 /// file never exists; see [`crate::native::fuse`] for why this is
-/// bit-identical to the interpreter and the step machine.
+/// bit-identical to the interpreter.
 fn run_brick_fused<B: RowOps>(
     fused: &fuse::FusedKernel,
     plan: &Plan,
@@ -482,12 +440,17 @@ pub fn run_vector_array_backend(
         }
         backend => {
             let plan = Plan::compile(kernel)?;
-            match native::ops_for(backend)? {
-                NativeOps::Portable(ops) => run_array_plan(&plan, &ops, input, output),
+            let ops = native::ops_for(backend)?;
+            let Some(fused) = plan.fused() else {
+                run_array_interp(kernel, input, output);
+                return Ok(());
+            };
+            match ops {
+                NativeOps::Portable(ops) => run_array_fused(fused, &plan, &ops, input, output),
                 #[cfg(target_arch = "x86_64")]
-                NativeOps::Avx2(ops) => run_array_plan(&plan, &ops, input, output),
+                NativeOps::Avx2(ops) => run_array_fused(fused, &plan, &ops, input, output),
                 #[cfg(target_arch = "aarch64")]
-                NativeOps::Neon(ops) => run_array_plan(&plan, &ops, input, output),
+                NativeOps::Neon(ops) => run_array_fused(fused, &plan, &ops, input, output),
             }
             Ok(())
         }
@@ -495,7 +458,8 @@ pub fn run_vector_array_backend(
 }
 
 /// The interpreter path of [`run_vector_array_mode`] — retained verbatim
-/// as the differential oracle for the compiled backends.
+/// as the differential oracle for the compiled backends, and the path of
+/// every kernel the fusion analysis declines.
 fn run_array_interp(kernel: &VectorKernel, input: &ArrayGrid, output: &mut ArrayGrid) {
     let (nx, ny, nz) = input.extents();
     let block = kernel.block;
@@ -553,67 +517,6 @@ fn run_array_interp(kernel: &VectorKernel, input: &ArrayGrid, output: &mut Array
                 }
             }
         });
-}
-
-/// Compiled-plan path of [`run_vector_array_mode`]: the per-element halo
-/// branch of the interpreter's read path is replaced by one contiguous
-/// row copy from padded dense storage. The reach-vs-halo check in
-/// [`check_array`] (backed by the analyzer's bounds proof) guarantees
-/// every read row lies inside `[-halo, n + halo)` on all axes, so the
-/// slice copies below cannot panic for a verified kernel.
-fn run_array_plan<B: RowOps>(plan: &Plan, ops: &B, input: &ArrayGrid, output: &mut ArrayGrid) {
-    if let Some(fused) = plan.fused() {
-        return run_array_fused(fused, plan, ops, input, output);
-    }
-    let (nx, ny, nz) = input.extents();
-    let block = plan.block();
-    let halo = input.dense().halo();
-    let w = plan.width();
-    let raw_in = input.dense().raw();
-    let h = halo as i64;
-    let sx = nx + 2 * halo;
-    let sy = ny + 2 * halo;
-    let plane = sx * sy;
-    let tiles_x = nx / block.bx;
-    let tiles_y = ny / block.by;
-
-    let raw_out = output.dense_mut().raw_mut();
-    let body = &mut raw_out[halo * plane..(halo + nz) * plane];
-    // One register file per worker, reused without re-zeroing (see
-    // `run_brick_plan`).
-    body.par_chunks_mut(block.bz * plane)
-        .enumerate()
-        .for_each_init(
-            || vec![0.0; plan.regs_len()],
-            |regs, (tz, slab)| {
-                let oz = (tz * block.bz) as i64;
-                for ty in 0..tiles_y {
-                    for tx in 0..tiles_x {
-                        let ox = (tx * block.bx) as i64;
-                        let oy = (ty * block.by) as i64;
-                        plan.exec_block(
-                            ops,
-                            regs,
-                            |rx, ry, rz, lane0, dst| {
-                                let y = oy + ry as i64;
-                                let z = oz + rz as i64;
-                                let x0 = ox + rx as i64 * w as i64 + lane0 as i64;
-                                let start = (((z + h) * sy as i64 + (y + h)) * sx as i64 + (x0 + h))
-                                    as usize;
-                                dst.copy_from_slice(&raw_in[start..start + dst.len()]);
-                            },
-                            |ry, rz, src| {
-                                // Index within the slab: z-local plane, full row.
-                                let zloc = rz as usize;
-                                let row = ((zloc * sy) as i64 + (oy + ry as i64 + h)) as usize;
-                                let start = row * sx + (ox + h) as usize;
-                                slab[start..start + w].copy_from_slice(src);
-                            },
-                        );
-                    }
-                }
-            },
-        );
 }
 
 /// Fused-row array executor. On the dense layout every input tap —
@@ -1062,99 +965,6 @@ mod tests {
                         base += st.rows.len() * w;
                     }
                     assert!(lanes > 0, "{ctx}: no demanded plane lanes checked");
-                }
-            }
-        }
-    }
-
-    // Fused tapes against the step machine, per paper cell (gather, w32,
-    // both layouts, every feasible T) on the host's `Auto` backend: the
-    // same compiled plan run with and without its fused program, best of
-    // 3 launches on a 192³ grid (56 MiB per field, input and output
-    // together past a 100 MiB L3). Kept out of normal runs:
-    // `cargo test -p brick-vm --release --lib -- --ignored --nocapture fused_vs_step`
-    #[test]
-    #[ignore]
-    fn fused_vs_step_machine() {
-        const N: usize = 192;
-        let ops = native::ops_for(native::resolve(ExecutionMode::Auto).unwrap()).unwrap();
-        fn launch<B: RowOps>(
-            plan: &Plan,
-            ops: &B,
-            layout: LayoutKind,
-            bricks: &(BrickGrid, BrickGrid),
-            arrays: &(ArrayGrid, ArrayGrid),
-        ) -> f64 {
-            (0..4)
-                .map(|_| match layout {
-                    LayoutKind::Brick => {
-                        let mut out = bricks.1.clone();
-                        let t0 = std::time::Instant::now();
-                        run_brick_plan(plan, ops, &bricks.0, &mut out);
-                        t0.elapsed().as_secs_f64()
-                    }
-                    LayoutKind::Array => {
-                        let mut out = arrays.1.clone();
-                        let t0 = std::time::Instant::now();
-                        run_array_plan(plan, ops, &arrays.0, &mut out);
-                        t0.elapsed().as_secs_f64()
-                    }
-                })
-                .skip(1)
-                .fold(f64::INFINITY, f64::min)
-        }
-        println!("cell                        taps stages  fused_s   step_s  step/fused");
-        for shape in StencilShape::paper_suite() {
-            let st = shape.stencil();
-            let b = st.default_bindings();
-            for t in 1..=4u32 {
-                let opts = CodegenOptions {
-                    temporal_degree: t,
-                    ..CodegenOptions::default()
-                };
-                let Ok(probe) = generate(&st, &b, LayoutKind::Brick, 32, opts) else {
-                    continue;
-                };
-                let halo = (t * shape.radius) as usize;
-                let mut dense = DenseGrid::new(N, N, N, halo);
-                dense.fill_test_pattern();
-                let bin = BrickGrid::from_dense(&dense, probe.block);
-                let bout =
-                    BrickGrid::with_metadata(Arc::clone(bin.decomp()), Arc::clone(bin.info()));
-                let bricks = (bin, bout);
-                let arrays = (ArrayGrid::from_dense(&dense), ArrayGrid::new(N, N, N, halo));
-                drop(dense);
-                for layout in [LayoutKind::Brick, LayoutKind::Array] {
-                    let kernel = generate(&st, &b, layout, 32, opts).unwrap();
-                    let plan = Plan::compile(&kernel).unwrap();
-                    let Some(fused) = plan.fused() else {
-                        println!("{shape} {layout} t{t}: not fused");
-                        continue;
-                    };
-                    let (taps, stages) = (fused.taps_len(), fused.stages.len());
-                    let mut step = plan.clone();
-                    step.fused = None;
-                    let (f, s) = match &ops {
-                        NativeOps::Portable(o) => (
-                            launch(&plan, o, layout, &bricks, &arrays),
-                            launch(&step, o, layout, &bricks, &arrays),
-                        ),
-                        #[cfg(target_arch = "x86_64")]
-                        NativeOps::Avx2(o) => (
-                            launch(&plan, o, layout, &bricks, &arrays),
-                            launch(&step, o, layout, &bricks, &arrays),
-                        ),
-                        #[cfg(target_arch = "aarch64")]
-                        NativeOps::Neon(o) => (
-                            launch(&plan, o, layout, &bricks, &arrays),
-                            launch(&step, o, layout, &bricks, &arrays),
-                        ),
-                    };
-                    println!(
-                        "{:<27} {taps:>4} {stages:>6} {f:>8.4} {s:>8.4} {:>10.2}",
-                        format!("{shape} {layout} t{t}"),
-                        s / f
-                    );
                 }
             }
         }

@@ -1,13 +1,13 @@
 //! Fused-row fast path: output rows evaluated straight from the grid.
 //!
-//! The step machine ([`super::Plan::exec_block`]) materializes every
-//! intermediate IR register as a row in an in-memory register file. For
+//! Executing the IR op by op, as the interpreter does, materializes every
+//! intermediate register as a row in an in-memory register file. For
 //! low-arithmetic kernels (the 7-point star moves ~13 rows through the
-//! file per output row it stores) that movement — plus the per-step
+//! file per output row it stores) that movement — plus the per-op
 //! dispatch and the per-row neighbour resolution — dominates the wall
-//! time, and a SIMD backend that only accelerates the arithmetic steps
-//! barely moves the total. This module removes the register file from the
-//! hot loop entirely:
+//! time, and a SIMD backend that only accelerated the arithmetic ops
+//! would barely move the total. This module is the only compiled form of
+//! a kernel, and it removes the register file from the hot loop entirely:
 //!
 //! 1. **Symbolic analysis** ([`fuse`], compile time): the verified IR is
 //!    re-executed over *symbolic* register values. A full-row load is the
@@ -29,11 +29,12 @@
 //!    **demanded-lane** pass then narrows every plane row to the 4-lane
 //!    chunks some stored lane depends on: the `E±` rows of DESIGN.md §14
 //!    compute `⌈h_s/4⌉` chunks, not the whole row. Anything the analysis
-//!    cannot prove equivalent (an edge row consumed outside its window,
-//!    a shift mixing levels, a tap table past [`MAX_TAPS`], …) aborts
-//!    fusion with a reason ([`Plan::fallback_reason`](super::Plan::fallback_reason))
-//!    and the plan falls back to the step machine — fusion is an
-//!    optimization, never a semantics change.
+//!    cannot prove equivalent (a width that is not the block's x extent,
+//!    an edge row consumed outside its window, a shift mixing levels, …)
+//!    aborts fusion with a reason
+//!    ([`Plan::fallback_reason`](super::Plan::fallback_reason)) and the
+//!    kernel runs on the interpreter — fusion is an optimization, never
+//!    a semantics change.
 //! 3. **Tape linearization**: each row's tree is flattened to a short
 //!    accumulator program ([`TapeOp`]) over *taps* — the distinct rows
 //!    the tree reads. Operand order of every `Add`/`Mul`/`Fma` is
@@ -67,17 +68,6 @@ use super::RowOps;
 /// Widest vector width the fixed row buffers accommodate (the generated
 /// kernels use 16/32/64).
 pub(crate) const MAX_W: usize = 64;
-
-/// Most input taps a fused kernel may read: one entry per distinct
-/// (row, shift) pair — 64 for star-7 on the default brick, 320 for
-/// cube-125, 244–1296 for the temporal star-7/cube-27 cells and 2160 for
-/// cube-125 at `T = 2`, the widest paper cell. Every paper cell up to
-/// that one was measured faster (or within noise) fused than on the step
-/// machine (the ignored `fused_vs_step_machine` test in `crate::exec`),
-/// so the bound admits exactly the paper matrix. Bounds the per-worker
-/// resolved-tap table and the per-block resolution work; plane taps are
-/// resolved at compile time and need no table.
-pub(crate) const MAX_TAPS: usize = 2160;
 
 /// Deepest value stack a row tape may use; trees needing more bail out
 /// of fusion at compile time.
@@ -653,7 +643,7 @@ struct Fuser {
     stores: Vec<(u8, RowProg)>,
 }
 
-/// Try to fuse a verified kernel. `Err` names why the step machine runs
+/// Try to fuse a verified kernel. `Err` names why the interpreter runs
 /// it instead — any IR shape the analysis cannot prove row-fusable.
 pub(crate) fn fuse(kernel: &VectorKernel) -> Result<FusedKernel, Bail> {
     let w = kernel.width;
@@ -758,9 +748,6 @@ pub(crate) fn fuse(kernel: &VectorKernel) -> Result<FusedKernel, Bail> {
             }
         };
         *regs.get_mut(dst as usize).ok_or("register out of range")? = val;
-        if f.taps.len() > MAX_TAPS {
-            return Err("input tap table exceeds MAX_TAPS");
-        }
     }
     f.finish(kernel)
 }
@@ -1540,7 +1527,7 @@ mod tests {
                     .filter(|op| matches!(op, VOp::StoreRow { .. }))
                     .count();
                 assert_eq!(f.out_rows().len(), stores, "{shape} {layout}");
-                assert!(f.taps_len() > 0 && f.taps_len() <= MAX_TAPS);
+                assert!(f.taps_len() > 0);
                 for rp in f.out_rows() {
                     assert!(!rp.tape.is_empty());
                     assert!(rp.is_full(k.width));
@@ -1600,9 +1587,8 @@ mod tests {
             for layout in [LayoutKind::Brick, LayoutKind::Array] {
                 for strategy in [Strategy::Gather, Strategy::Scatter] {
                     let k = kernel(shape, layout, strategy);
-                    // Some shapes fuse, some (tap tables past MAX_TAPS)
-                    // bail to the step machine; both outcomes are valid.
-                    // What is not valid is a panic or a malformed program.
+                    // A bail (the interpreter runs the kernel) is a valid
+                    // outcome; a panic or a malformed program is not.
                     if let Ok(f) = fuse(&k) {
                         let rt = resolve_identity(&f);
                         for rp in f.out_rows() {

@@ -13,15 +13,13 @@
 //!    *computed* rows, lower to one stage of tapes per fused level: the
 //!    intermediate rows a later level shifts or reuses go to small
 //!    per-block planes, narrowed to the lanes a stored lane depends on.
-//!    The kernels the fusion analysis declines (it names why) keep a flat
-//!    step program with pre-resolved register offsets, inlined
-//!    coefficient values, and shuffles (`ShiftX`) reduced to at most two
-//!    contiguous range copies.
-//! 2. **Row backends** ([`RowOps`]): fused stages and the step program's
-//!    elementwise steps execute through a monomorphic backend — a safe
-//!    portable implementation (the `Auto` floor on hosts without SIMD),
-//!    AVX2+FMA intrinsics behind `is_x86_feature_detected!`, or NEON on
-//!    aarch64.
+//!    Tapes are the only compiled form: a kernel the fusion analysis
+//!    declines (it names why, [`Plan::fallback_reason`]) runs on the
+//!    interpreter under every native backend.
+//! 2. **Row backends** ([`RowOps`]): the stages of a fused kernel execute
+//!    through a monomorphic backend — a safe portable evaluator (the
+//!    `Auto` floor on hosts without SIMD), AVX2+FMA intrinsics behind
+//!    `is_x86_feature_detected!`, or NEON on aarch64.
 //!
 //! Every backend is **bit-identical** to the interpreter: lowering preserves
 //! the interpreter's operation order and fusion exactly, and the only
@@ -34,10 +32,10 @@
 //! # Safety argument
 //!
 //! The `unsafe` surface is confined to the [`avx2`]/[`neon`] submodules
-//! (pointer arithmetic into the register file and input slab). Its
-//! preconditions are discharged *statically* by **brick-safe**
-//! ([`safe`]): an abstract-interpretation pass over the lowered
-//! `Plan`/`RowProg` program that [`Plan::compile`] runs before the plan
+//! (pointer arithmetic into the input slab, the planes and the output
+//! block). Its preconditions are discharged *statically* by
+//! **brick-safe** ([`safe`]): an abstract-interpretation pass over the
+//! fused `RowProg` program that [`Plan::compile`] runs before the plan
 //! can reach a dispatcher. Each precondition is a named obligation with a
 //! stable `BSxxx` diagnostic code (catalogued in DESIGN.md §13); an
 //! unprovable plan is rejected with `VmError::UnsafePlan` carrying the
@@ -48,17 +46,15 @@
 //!   re-checked against the kernel's declared shape before lowering, and the
 //!   footprint pass's load reach bounds every out-of-block access (checked
 //!   against ghost/halo coverage by the callers in [`crate::exec`]);
-//! * brick-safe's obligations over the lowered form (BS001–BS014) — tap and
-//!   store rows in-slab for all blocks, seam shifts in range, tape stack
-//!   discipline, lane geometry, register-file bounds, plane rows and taps
-//!   inside their planes and written before they are read — plus the cheap
-//!   per-run premise checks in [`crate::exec`] (whole-brick slab with valid
-//!   interior adjacency rows; array tap intervals inside the padded slab
-//!   via `Plan::check_array_geometry`);
-//! * a runtime assertion per step-machine row op in the safe wrappers —
-//!   offsets are checked against the register file length before any
-//!   pointer is formed — and debug-build re-checks of the resolved tap
-//!   tables in the fused evaluators ([`fuse::check_taps`]).
+//! * brick-safe's obligations over the fused tapes (BS001–BS008,
+//!   BS011–BS014) — tap and store rows in-slab for all blocks, seam
+//!   shifts in range, tape stack discipline, lane geometry, plane rows
+//!   and taps inside their planes and written before they are read —
+//!   plus the cheap per-run premise checks in [`crate::exec`]
+//!   (whole-brick slab with valid interior adjacency rows; array tap
+//!   intervals inside the padded slab via `Plan::check_array_geometry`);
+//! * debug-build re-checks of the resolved tap tables in the fused
+//!   evaluators ([`fuse::check_taps`]).
 
 pub(crate) mod fuse;
 mod plan;
@@ -266,20 +262,9 @@ pub fn resolve(mode: ExecutionMode) -> Result<Backend, VmError> {
     resolve_with(mode, CpuFeatures::detect()).map_err(VmError::Unsupported)
 }
 
-/// Elementwise row operations over the register file, implemented per
-/// backend. `regs` is the flat register file; `*0` arguments are row base
-/// offsets (`reg * width`) pre-validated by [`Plan::compile`]. All three
-/// operations are elementwise (lane `i` of the destination depends only on
-/// lane `i` of the sources), so implementations may write `dst` in place
-/// even when it aliases a source row.
+/// Fused-row evaluation, implemented per backend. Both entries default
+/// to the safe portable evaluator; the SIMD backends override them.
 pub(crate) trait RowOps: Sync {
-    /// `dst[i] = a[i] + b[i]` for `i in 0..w`.
-    fn add(&self, regs: &mut [f64], dst0: usize, a0: usize, b0: usize, w: usize);
-    /// `dst[i] = a[i] * c`.
-    fn mul(&self, regs: &mut [f64], dst0: usize, a0: usize, c: f64, w: usize);
-    /// `dst[i] = fma(a[i], c, acc[i])` — correctly-rounded fused.
-    fn fma(&self, regs: &mut [f64], dst0: usize, acc0: usize, a0: usize, c: f64, w: usize);
-
     /// Evaluate one fused row program ([`fuse::TapeOp`]) over resolved
     /// taps straight from the input slab into an output row — the
     /// register-file-free fast path. The default is the safe portable

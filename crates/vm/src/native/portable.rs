@@ -1,56 +1,16 @@
 //! Portable row backend: safe Rust, the `Auto` floor on hosts without a
 //! SIMD backend.
 //!
-//! Each operation is a straight in-place loop the compiler can
-//! auto-vectorize for the baseline target (`Add`/`Mul` lower to packed
-//! SSE2 on x86-64). `Fma` keeps `f64::mul_add` — the correctly-rounded
-//! fused operation the interpreter uses — so the backend stays
-//! bit-identical to the oracle even where that costs a libm call on
-//! targets without a hardware FMA unit.
+//! It takes every [`RowOps`] default: the fused stages run the safe
+//! portable evaluator ([`super::fuse::eval_lanes_portable`]), whose `Fma`
+//! keeps `f64::mul_add` — the correctly-rounded fused operation the
+//! interpreter uses — so the backend stays bit-identical to the oracle
+//! even where that costs a libm call on targets without a hardware FMA
+//! unit.
 
 use super::RowOps;
 
 /// The portable backend. Always available.
 pub(crate) struct PortableOps;
 
-impl RowOps for PortableOps {
-    fn add(&self, regs: &mut [f64], dst0: usize, a0: usize, b0: usize, w: usize) {
-        for i in 0..w {
-            regs[dst0 + i] = regs[a0 + i] + regs[b0 + i];
-        }
-    }
-
-    fn mul(&self, regs: &mut [f64], dst0: usize, a0: usize, c: f64, w: usize) {
-        for i in 0..w {
-            regs[dst0 + i] = regs[a0 + i] * c;
-        }
-    }
-
-    fn fma(&self, regs: &mut [f64], dst0: usize, acc0: usize, a0: usize, c: f64, w: usize) {
-        for i in 0..w {
-            regs[dst0 + i] = regs[a0 + i].mul_add(c, regs[acc0 + i]);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rows_compute_elementwise_and_tolerate_aliasing() {
-        let w = 8;
-        let mut regs = vec![0.0; 3 * w];
-        for i in 0..w {
-            regs[w + i] = i as f64; // r1
-            regs[2 * w + i] = 2.0 * i as f64; // r2
-        }
-        let ops = PortableOps;
-        ops.add(&mut regs, 0, w, 2 * w, w);
-        assert_eq!(regs[3], 9.0);
-        ops.mul(&mut regs, 0, 0, 0.5, w); // dst aliases a
-        assert_eq!(regs[3], 4.5);
-        ops.fma(&mut regs, 0, 0, w, 2.0, w); // acc aliases dst
-        assert_eq!(regs[3], 3.0f64.mul_add(2.0, 4.5));
-    }
-}
+impl RowOps for PortableOps {}

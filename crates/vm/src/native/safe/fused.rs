@@ -6,7 +6,7 @@
 //! Proving `off + w ≤ vol` here (BS001), together with the per-run
 //! premise that the slab holds exactly `nb` whole bricks and every
 //! interior adjacency entry is a valid id `< nb` (checked in
-//! `crate::exec::run_brick_fused_nt`), gives `base + w ≤ raw.len()` for
+//! `crate::exec::run_brick_fused`), gives `base + w ≤ raw.len()` for
 //! every tap of every interior brick — translation invariance does the
 //! rest. Array layouts leave `brick_taps` empty; their geometry half
 //! lives in [`super::geometry`].
@@ -22,7 +22,7 @@
 use brick_core::BrickDims;
 use brick_lint::LintCode;
 
-use super::super::fuse::{self, BrickTap, FusedKernel, Tap, CHUNK, MAX_STACK, MAX_TAPS};
+use super::super::fuse::{self, BrickTap, FusedKernel, Tap, CHUNK, MAX_STACK};
 use super::Prover;
 
 /// Discharge the fused-path obligations over `f`.
@@ -43,14 +43,8 @@ pub(crate) fn prove_fused(p: &mut Prover, w: usize, block: BrickDims, f: &FusedK
         },
     );
     let ntaps = f.taps.len();
-    // BS004: executors size their resolved-tap arrays from taps_len and
-    // index them in lock-step with brick_taps.
-    p.obligation(
-        ntaps <= MAX_TAPS,
-        LintCode::UnsafeTapIndexInvalid,
-        None,
-        || format!("{ntaps} taps exceed the MAX_TAPS = {MAX_TAPS} resolved-tap buffer"),
-    );
+    // BS004: executors size their per-worker resolved-tap tables from
+    // taps_len and index them in lock-step with brick_taps.
     p.obligation(
         f.brick_taps.is_empty() || f.brick_taps.len() == ntaps,
         LintCode::UnsafeTapIndexInvalid,

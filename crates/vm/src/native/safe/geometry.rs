@@ -6,10 +6,13 @@
 //! (ox+h)` per tile and `delta = rz·plane + ry·sx + dxe` per tap
 //! (`dxe = rx·w` for direct taps, the fold-in shift `dx` for shifted
 //! ones), then reads lanes `raw[base .. base+w]` unchecked in the SIMD
-//! paths — or, for a window tap, only the lanes of each row's window. That is in bounds iff each coordinate axis of every tap row of
-//! every tile stays inside the padded slab — a condition linear in the
-//! tile origin, so checking the extreme origins per axis covers all
-//! tiles. The check is O(taps), run once per `run()`.
+//! paths — or, for a window tap, only the lanes of each row's window.
+//! That is in bounds iff each coordinate axis of every tap row of every
+//! tile stays inside the padded slab — a condition linear in the tile
+//! origin, so checking the extreme origins per axis covers all tiles.
+//! The check is O(taps), run once per `run()`. Plans without a fused
+//! program run on the interpreter, which guards every element it reads,
+//! so there is nothing to check for them.
 
 use brick_lint::Report;
 
@@ -20,9 +23,9 @@ use brick_lint::LintCode;
 
 /// Check every tap of `plan`'s fused program against an `nx × ny × nz`
 /// interior with `halo` cells of padding on each side. Vacuously `Ok`
-/// for non-fused plans (the step machine bounds-checks through safe
-/// slices) and for brick-resolved plans (their bounds are discharged at
-/// compile time plus the adjacency premise in `crate::exec`).
+/// for plans the interpreter runs and for brick-resolved plans (their
+/// bounds are discharged at compile time plus the adjacency premise in
+/// `crate::exec`).
 pub(crate) fn check(
     plan: &Plan,
     nx: usize,

@@ -7,14 +7,15 @@
 //! indices inside the tap table, value-stack discipline, lane geometry.
 //! Rather than re-checking those properties per block at run time, this
 //! module proves them *once*, at [`super::Plan::compile`] time, by
-//! abstract interpretation over the lowered [`super::plan::Step`] program
-//! and the fused [`super::fuse::FusedKernel`] tape.
+//! abstract interpretation over the fused [`super::fuse::FusedKernel`]
+//! tape. A plan without one runs on the interpreter, which forms no
+//! pointers, so it carries no obligations.
 //!
 //! Every property is an explicit **proof obligation** with a stable
-//! diagnostic code (`BS001`–`BS014`, catalogued in
+//! diagnostic code (`BS001`–`BS008` and `BS011`–`BS014`, catalogued in
 //! [`brick_lint::LintCode`] and DESIGN.md §13). A violated obligation
 //! becomes a [`brick_lint::Diagnostic`] anchored at the offending tape op
-//! or step; the whole report is returned as
+//! or row; the whole report is returned as
 //! `VmError::UnsafePlan` and the plan is rejected before any dispatcher
 //! can see it. Obligations whose truth depends on the run-time grid
 //! (array slab extents, brick adjacency tables) are split: the
@@ -28,7 +29,6 @@
 
 mod fused;
 mod geometry;
-mod steps;
 
 #[cfg(test)]
 mod mutation;
@@ -37,18 +37,18 @@ use brick_core::BrickDims;
 use brick_lint::{Diagnostic, LintCode, Report};
 
 use super::fuse::FusedKernel;
-use super::plan::{Plan, Step};
+use super::plan::Plan;
 
 /// Outcome of a successful brick-safe proof: what was proved, and how
 /// much of it. Returned by [`super::Plan::safety`] /
 /// [`super::Plan::verify_safety`] and printed by `bricks lint --native`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SafetySummary {
-    /// Total proof obligations discharged (each bounds comparison,
-    /// alias check, and stack-discipline condition counts once).
+    /// Total proof obligations discharged (each bounds comparison and
+    /// stack-discipline condition counts once; 0 when not fused).
     pub obligations: usize,
-    /// Whether the plan carries a fused-row program (the fused
-    /// obligations BS001–BS008, BS011–BS014 only apply then).
+    /// Whether the plan carries a fused-row program (every obligation
+    /// applies to one; a plan without it runs on the interpreter).
     pub fused: bool,
     /// Number of taps in the fused tap table (0 when not fused).
     pub taps: usize,
@@ -77,7 +77,7 @@ impl Prover {
     }
 
     /// Discharge one obligation: record it, and on failure push a
-    /// diagnostic (anchored at tape-op/step index `op` when given).
+    /// diagnostic (anchored at tape-op/row index `op` when given).
     /// The message closure only runs on failure.
     pub(crate) fn obligation(
         &mut self,
@@ -113,13 +113,10 @@ impl Prover {
 pub(crate) fn prove(
     name: &str,
     width: usize,
-    num_regs: usize,
     block: BrickDims,
-    steps: &[Step],
     fused: Option<&FusedKernel>,
 ) -> Result<SafetySummary, Box<Report>> {
     let mut p = Prover::new(name);
-    steps::prove_steps(&mut p, width, num_regs, block, steps);
     if let Some(f) = fused {
         fused::prove_fused(&mut p, width, block, f);
     }
@@ -137,14 +134,7 @@ pub(crate) fn prove(
 /// Re-prove a finished plan (the `bricks lint --native` / benchmark
 /// entry; `Plan::compile` already ran [`prove`] once).
 pub(crate) fn prove_plan(plan: &Plan) -> Result<SafetySummary, Box<Report>> {
-    prove(
-        "plan",
-        plan.width,
-        plan.num_regs,
-        plan.block,
-        &plan.steps,
-        plan.fused.as_ref(),
-    )
+    prove("plan", plan.width, plan.block, plan.fused.as_ref())
 }
 
 /// Per-run geometry premise for array layouts: see [`geometry`].

@@ -4,9 +4,9 @@
 //!
 //! 1. **Sensitivity**: of all single-site perturbations of compiled
 //!    plans — tap offsets, neighbour indices, seam splits, store
-//!    targets, tape indices, stack depths, fast chains, widths, step
-//!    offsets — the prover (compile-time pass plus the per-run array
-//!    geometry check) must reject at least 95%.
+//!    targets, tape indices, stack depths, fast chains, widths, plane
+//!    rows and taps — the prover (compile-time pass plus the per-run
+//!    array geometry check) must reject at least 95%.
 //! 2. **Soundness of survivors**: every accepted mutant is proven
 //!    *memory*-harmless against real geometry — brick survivors run the
 //!    full resolve/check/evaluate path per interior brick under
@@ -27,7 +27,7 @@ use brick_dsl::shape::StencilShape;
 use brick_dsl::DenseGrid;
 
 use super::super::fuse::{self, BrickTap, RTap, RowProg, Tap, TapeOp, MAX_STACK};
-use super::super::plan::{Plan, Step};
+use super::super::plan::Plan;
 use super::super::PortableOps;
 use super::prove_plan;
 
@@ -284,55 +284,6 @@ fn mutants_of(base: &Base) -> Vec<(String, Plan)> {
         let mut m = p.clone();
         m.width = bad_w;
         out.push((label.to_string(), m));
-    }
-
-    // --- step killers ---
-    if let Some(j) = p.steps.iter().position(|s| matches!(s, Step::Load { .. })) {
-        let regs_len = (p.num_regs + 1) * w;
-        for (label, g) in [
-            (
-                "step-load-dst-escapes",
-                Box::new(move |s: &mut Step| {
-                    if let Step::Load { dst0, .. } = s {
-                        *dst0 = regs_len;
-                    }
-                }) as Box<dyn Fn(&mut Step)>,
-            ),
-            (
-                "step-load-dst-misaligned",
-                Box::new(|s: &mut Step| {
-                    if let Step::Load { dst0, .. } = s {
-                        *dst0 += 1;
-                    }
-                }),
-            ),
-            (
-                "step-load-lane-escapes",
-                Box::new(move |s: &mut Step| {
-                    if let Step::Load { lane0, .. } = s {
-                        *lane0 = w;
-                    }
-                }),
-            ),
-        ] {
-            let mut m = p.clone();
-            g(&mut m.steps[j]);
-            out.push((label.to_string(), m));
-        }
-    }
-    if let Some(j) = p.steps.iter().position(|s| matches!(s, Step::Store { .. })) {
-        let mut m = p.clone();
-        if let Step::Store { ry, .. } = &mut m.steps[j] {
-            *ry = p.block.by as i16;
-        }
-        out.push(("step-store-escapes-block".to_string(), m));
-    }
-    if let Some(j) = p.steps.iter().position(|s| matches!(s, Step::Shift { .. })) {
-        let mut m = p.clone();
-        if let Step::Shift { dx, .. } = &mut m.steps[j] {
-            *dx = 0;
-        }
-        out.push(("step-shift-dx-0".to_string(), m));
     }
 
     // --- geometry killers (array layouts: survive the compile-time

@@ -1,19 +1,20 @@
-//! Fusion census: which plans run on fused row tapes and which still fall
-//! back to the step machine.
+//! Fusion census: which plans run on fused row tapes and which run on the
+//! interpreter.
 //!
-//! Every cell of the paper suite × {Brick, Array} × {Gather, Scatter} ×
-//! widths {16, 32, 64} × each feasible temporal degree is compiled and its
+//! Fused tapes are the only compiled form; a kernel the fusion analysis
+//! declines runs on the interpreter under every native backend. Every
+//! cell of the paper suite × {Brick, Array} × {Gather, Scatter} × widths
+//! {16, 32, 64} × each feasible temporal degree is compiled and its
 //! `Plan::safety().fused` flag pinned. A cell absent from [`FALLBACKS`]
-//! must fuse — a regression back to the step machine fails here by name,
-//! with the reason fusion bailed. A cell listed there must still fall
-//! back, for exactly the listed reason; once it fuses, delete its entry.
-//! The list is the work left before the step machine can be deleted.
+//! must fuse — a regression to the interpreter fails here by name, with
+//! the reason fusion bailed. A cell listed there must still be declined,
+//! for exactly the listed reason; once it fuses, delete its entry.
 
 use brick_codegen::{generate, CodegenError, CodegenOptions, LayoutKind, Strategy};
 use brick_dsl::shape::StencilShape;
 use brick_vm::Plan;
 
-/// Cells that still run on the step machine, with the reason the fusion
+/// Cells that run on the interpreter, with the reason the fusion
 /// analysis gives (`Plan::fallback_reason`). Empty: every feasible cell
 /// of the paper matrix fuses, spatial and temporal alike.
 const FALLBACKS: &[(&str, &str)] = &[];
@@ -61,7 +62,7 @@ fn every_feasible_paper_cell_is_fused_or_listed() {
                             None => {
                                 assert!(
                                     s.fused,
-                                    "{cell} regressed to the step machine: {}",
+                                    "{cell} regressed to the interpreter: {}",
                                     plan.fallback_reason().unwrap_or("(no reason)")
                                 );
                                 assert_eq!(plan.fallback_reason(), None, "{cell}");

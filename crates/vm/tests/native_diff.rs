@@ -216,6 +216,39 @@ fn forced_unsupported_mode_errors_not_panics() {
     }
 }
 
+/// A kernel the fusion analysis declines still runs under every native
+/// backend: on the interpreter, bit for bit, and the plan names why.
+/// Width 128 (a 64-lane vector folded twice) is not a fused lane
+/// geometry; star-7 at `T = 1` and the staged `T = 2` kernel both decline.
+#[test]
+fn declined_kernels_run_on_the_interpreter_under_every_backend() {
+    let shape = StencilShape::star(1);
+    let st = shape.stencil();
+    let b = st.default_bindings();
+    let auto = resolve_with(ExecutionMode::Auto, CpuFeatures::detect()).unwrap();
+    for t in [1u32, 2] {
+        for layout in [LayoutKind::Brick, LayoutKind::Array] {
+            let opts = CodegenOptions {
+                temporal_degree: t,
+                ..CodegenOptions::default()
+            };
+            let kernel = generate(&st, &b, layout, 128, opts).unwrap();
+            let ctx = format!("{shape} {layout} w128 t{t}");
+            let plan = brick_vm::Plan::compile(&kernel).unwrap();
+            assert!(!plan.safety().fused, "{ctx}: fused");
+            let why = plan.fallback_reason().unwrap_or("(no reason)");
+            assert!(why.contains("width"), "{ctx}: declined for {why:?}");
+            let mut dense = DenseGrid::new(128, 8, 8, (t * shape.radius) as usize);
+            dense.fill_test_pattern();
+            let oracle = run_backend(&kernel, &dense, Backend::Interpreter);
+            for backend in [Backend::Portable, auto] {
+                let got = run_backend(&kernel, &dense, backend);
+                assert_bits_equal(&oracle, &got, &format!("{ctx} via {backend}"));
+            }
+        }
+    }
+}
+
 /// Miri smoke: the scalar and portable execution paths on a tiny grid,
 /// bit-compared against the interpreter. These are the tests the CI
 /// sanitizer job runs under `cargo miri test -- miri_smoke` — they stay

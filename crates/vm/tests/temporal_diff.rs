@@ -16,10 +16,10 @@
 //!    data. Inside that margin the fusion must be exact.
 //! 3. **Native execution modes** — every gather kernel, temporal ones
 //!    included, must compile to a *fused* plan (staged row tapes with
-//!    per-block planes, not the step machine), and that plan under the
-//!    portable compiled backend (and AVX2/NEON where detected) must match
-//!    the interpreter bit for bit over the full raw storage. The
-//!    plane-level half of this oracle — every demanded lane of every
+//!    per-block planes, not the interpreter fallback), and that plan
+//!    under the portable compiled backend (and AVX2/NEON where detected)
+//!    must match the interpreter bit for bit over the full raw storage.
+//!    The plane-level half of this oracle — every demanded lane of every
 //!    intermediate plane row equals the interpreter's register — needs
 //!    the plan's internals and lives in `crate::exec`'s unit tests.
 //!
@@ -163,13 +163,13 @@ fn check_config(shape: &StencilShape, b: &CoeffBindings, layout: LayoutKind, wid
     let margin = (t as i64 - 1) * shape.radius as i64;
     assert_deep_interior_equal(&cur, &interp, margin, &format!("{ctx} vs sequential"));
 
-    // 3. native backends: the plan fuses (no step-machine fallback), and
+    // 3. native backends: the plan fuses (no interpreter fallback), and
     //    its output is the interpreter's over the full layout-native
     //    storage
     let plan = Plan::compile(&kt).unwrap();
     assert!(
         plan.safety().fused,
-        "{ctx}: fell back to the step machine ({:?})",
+        "{ctx}: fell back to the interpreter ({:?})",
         plan.fallback_reason()
     );
     assert_eq!(
