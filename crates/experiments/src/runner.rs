@@ -418,16 +418,6 @@ pub fn sweep_with(opts: &SweepOptions) -> Result<Sweep, SweepError> {
     );
     let _span = brick_obs::span_cat(format!("sweep:{}^3", opts.params.n), "sweep");
     let n = opts.params.n;
-    // counters are process-global; deltas isolate this sweep's cache story
-    let cache_counters = || {
-        (
-            brick_obs::counter_value("sweep.cache.hits"),
-            brick_obs::counter_value("sweep.cache.misses"),
-            brick_obs::counter_value("sweep.cache.corrupt"),
-        )
-    };
-    let cache_before = cache_counters();
-
     let cache = match &opts.cache_dir {
         Some(dir) => Some(DiskCache::open(dir).map_err(|e| SweepError::Cache(e.to_string()))?),
         None => None,
@@ -612,17 +602,12 @@ pub fn sweep_with(opts: &SweepOptions) -> Result<Sweep, SweepError> {
         }
     }
 
-    let cache_after = cache_counters();
     let manifest = manifest
         .finish(sweep_start.elapsed().as_secs_f64(), record_wall_s)
         .with_sweep_info(
             &opts.fidelity.to_string(),
             opts.jobs.count() as u64,
-            (
-                cache_after.0 - cache_before.0,
-                cache_after.1 - cache_before.1,
-                cache_after.2 - cache_before.2,
-            ),
+            cache.as_ref().map_or((0, 0, 0), DiskCache::probes),
         );
     Ok(Sweep {
         params: opts.params,

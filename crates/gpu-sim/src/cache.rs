@@ -10,8 +10,10 @@
 //!   full-row stores of the generated kernels reach the theoretical
 //!   2-bytes-per-point minimum, §5.2.1).
 //!
-//! Every transaction to the next level is reported through a callback so
-//! the hierarchy can be composed without materialising miss streams.
+//! Transactions are handled a line at a time, and every transaction to the
+//! next level is reported through a callback as a run of whole sectors
+//! inside one line, so the hierarchy can be composed without
+//! materialising per-sector miss streams.
 
 use serde::{Deserialize, Serialize};
 
@@ -140,33 +142,78 @@ struct Line {
 }
 
 /// One cache level.
+///
+/// Transactions are handled a line at a time: each touched line costs one
+/// tag lookup, and the per-sector hit, miss, fill and dirty accounting is
+/// mask arithmetic over the line's sector bits.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
     sets: Vec<Vec<Line>>,
     clock: u64,
-    sectors_per_line: u32,
+    /// `log2(line)`: a line's tag is `addr >> line_shift`.
+    line_shift: u32,
+    /// `log2(sector)`.
+    sector_shift: u32,
     /// Most-recently-used line memo: skips the set walk when consecutive
-    /// sectors land on the same line, which is the common case for the
-    /// row-granular streams the kernels issue. Pure lookup acceleration —
-    /// validated against the set contents on every use, so hit/miss
-    /// accounting is identical with or without it.
-    mru_line: u64,
+    /// transactions land on the same line, which is the common case for
+    /// the row-granular streams the kernels issue. Pure lookup
+    /// acceleration — validated against the set contents on every use, so
+    /// hit/miss accounting is identical with or without it.
+    mru_tag: u64,
     mru_set: usize,
     mru_way: usize,
     /// Running statistics.
     pub stats: CacheStats,
 }
 
-/// A transaction this level issues to the next one.
+/// A transaction this level issues to the next one: a run of whole
+/// sectors inside one line, all fills or all write-outs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NextLevel {
-    /// Address of the sector.
+    /// Address of the run's first sector.
     pub addr: u64,
-    /// Bytes (always one sector).
+    /// Bytes in the run (a multiple of the sector size, at most a line).
     pub bytes: u32,
     /// True for write-backs / write-throughs; false for fills.
     pub is_write: bool,
+}
+
+/// Bit mask of the `n` sectors starting at sector index `first`.
+#[inline]
+fn sector_mask(first: u32, n: u32) -> u32 {
+    (((1u64 << n) - 1) << first) as u32
+}
+
+/// Population count of `x ⊆ mask`, where `mask` has `n` bits set. The
+/// none and all cases — nearly every hit and miss — skip the count, which
+/// baseline x86-64 (no `popcnt`) computes in software.
+#[inline]
+fn ones_within(x: u32, mask: u32, n: u32) -> u32 {
+    if x == 0 {
+        0
+    } else if x == mask {
+        n
+    } else {
+        x.count_ones()
+    }
+}
+
+/// The per-line pieces of the sector range `[first, last]` (global sector
+/// numbers), as `(tag, first sector index in the line, sector count)`.
+fn line_pieces(first: u64, last: u64, sectors_shift: u32) -> impl Iterator<Item = (u64, u32, u32)> {
+    let spl = 1u64 << sectors_shift;
+    let mut s = first;
+    std::iter::from_fn(move || {
+        if s > last {
+            return None;
+        }
+        let tag = s >> sectors_shift;
+        let upto = (((tag + 1) << sectors_shift) - 1).min(last);
+        let piece = (tag, (s & (spl - 1)) as u32, (upto - s + 1) as u32);
+        s = upto + 1;
+        Some(piece)
+    })
 }
 
 impl Cache {
@@ -174,14 +221,16 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
         assert!(cfg.line.is_power_of_two() && cfg.sector.is_power_of_two());
         assert_eq!(cfg.line % cfg.sector, 0);
+        assert!(cfg.line / cfg.sector <= 32, "at most 32 sectors per line");
         assert!(cfg.assoc >= 1);
         let sets = cfg.num_sets();
         Cache {
             cfg,
             sets: vec![Vec::new(); sets],
             clock: 0,
-            sectors_per_line: (cfg.line / cfg.sector) as u32,
-            mru_line: u64::MAX,
+            line_shift: cfg.line.trailing_zeros(),
+            sector_shift: cfg.sector.trailing_zeros(),
+            mru_tag: u64::MAX,
             mru_set: 0,
             mru_way: 0,
             stats: CacheStats::default(),
@@ -207,8 +256,7 @@ impl Cache {
     /// Present a batch of `(addr, bytes, is_write)` transactions in issue
     /// order — the replay entry point of the fast (block-class) simulation
     /// path. Exactly equivalent to calling [`Cache::read`]/[`Cache::write`]
-    /// per element; batching keeps the MRU line memo hot across a whole
-    /// compiled stream so same-line runs skip the per-access set walk.
+    /// per element.
     pub fn access_run(
         &mut self,
         run: impl IntoIterator<Item = (u64, u32, bool)>,
@@ -219,175 +267,196 @@ impl Cache {
         }
     }
 
-    /// Locate the way holding `tag` in `set_idx`, consulting the MRU memo
-    /// first. The memo is only trusted after re-validating the tag — ways
-    /// shift on `swap_remove` eviction — and tags are unique within a set,
-    /// so a validated memo hit is exactly the line a linear walk would find.
+    /// Present an upper level's run as one transaction per `unit` bytes
+    /// (the upper level's sector) — exactly equivalent to calling
+    /// [`Cache::read`]/[`Cache::write`] on each `unit`-byte piece in
+    /// order. When `unit` is this level's sector, each piece is one whole
+    /// sector and the run is handled a line at a time; other geometries
+    /// take the per-piece path.
+    pub fn access_sectors(&mut self, run: NextLevel, unit: u32, next: &mut impl FnMut(NextLevel)) {
+        assert!(run.bytes > 0 && unit > 0, "empty transaction");
+        let sector = self.cfg.sector as u64;
+        let (addr, bytes) = (run.addr, run.bytes as u64);
+        if unit as u64 != sector || (addr | bytes) & (sector - 1) != 0 {
+            let end = addr + bytes;
+            let mut a = addr;
+            while a < end {
+                let piece = (unit as u64).min(end - a) as u32;
+                self.access(a, piece, run.is_write, next);
+                a += unit as u64;
+            }
+            return;
+        }
+        let first = addr >> self.sector_shift;
+        let last = first + (bytes >> self.sector_shift) - 1;
+        for (tag, s0, n) in line_pieces(first, last, self.line_shift - self.sector_shift) {
+            // Each sector is its own transaction, visiting one line.
+            self.stats.accesses += n as u64;
+            self.stats.line_visits += n as u64;
+            self.touch_line(tag, s0, n, 0, run.is_write, next);
+        }
+    }
+
+    /// Locate line `tag`: its set index and, when resident, its way. The
+    /// MRU memo answers both without the set-index division or the set
+    /// walk; it is only trusted after re-validating the tag — ways shift
+    /// on `swap_remove` eviction — and tags are unique within a set, so a
+    /// validated memo hit is exactly the line a linear walk would find.
     #[inline]
-    fn find_way(&mut self, set_idx: usize, line_addr: u64, tag: u64) -> Option<usize> {
-        if self.mru_line == line_addr
-            && self.mru_set == set_idx
-            && self.sets[set_idx]
+    fn lookup(&mut self, tag: u64) -> (usize, Option<usize>) {
+        let set_idx = if self.mru_tag == tag {
+            if self.sets[self.mru_set]
                 .get(self.mru_way)
                 .is_some_and(|l| l.tag == tag)
-        {
-            return Some(self.mru_way);
+            {
+                return (self.mru_set, Some(self.mru_way));
+            }
+            self.mru_set
+        } else {
+            (tag % self.sets.len() as u64) as usize
+        };
+        let way = self.sets[set_idx].iter().position(|l| l.tag == tag);
+        if let Some(way) = way {
+            self.mru_tag = tag;
+            self.mru_set = set_idx;
+            self.mru_way = way;
         }
-        let way = self.sets[set_idx].iter().position(|l| l.tag == tag)?;
-        self.mru_line = line_addr;
-        self.mru_set = set_idx;
-        self.mru_way = way;
-        Some(way)
+        (set_idx, way)
     }
 
     fn access(&mut self, addr: u64, bytes: u32, is_write: bool, next: &mut impl FnMut(NextLevel)) {
-        debug_assert!(bytes > 0);
+        assert!(bytes > 0, "empty transaction");
         self.stats.accesses += 1;
-        let sector = self.cfg.sector as u64;
-        let line = self.cfg.line as u64;
-        let mut s = addr & !(sector - 1);
+        let ss = self.sector_shift;
         let end = addr + bytes as u64;
-        let mut last_line = u64::MAX;
-        while s < end {
-            let this_line = s & !(line - 1);
-            if this_line != last_line {
-                self.stats.line_visits += 1;
-                last_line = this_line;
+        let (first, last) = (addr >> ss, (end - 1) >> ss);
+        // A store covering a whole sector overwrites it, permitting
+        // allocate-without-fetch; only the end sectors can be partial.
+        let head_partial = is_write && addr & ((1 << ss) - 1) != 0;
+        let tail_partial = is_write && end & ((1 << ss) - 1) != 0;
+        let spl_shift = self.line_shift - ss;
+        for (tag, s0, n) in line_pieces(first, last, spl_shift) {
+            let mut partial = 0;
+            if head_partial && tag == first >> spl_shift {
+                partial |= 1 << s0;
             }
-            // Full coverage means the write overwrites the whole sector,
-            // permitting allocate-without-fetch.
-            let full = is_write && s >= addr && s + sector <= end;
-            self.touch_sector(s, is_write, full, next);
-            s += sector;
+            if tail_partial && tag == last >> spl_shift {
+                partial |= 1 << (s0 + n - 1);
+            }
+            self.stats.line_visits += 1;
+            self.touch_line(tag, s0, n, partial, is_write, next);
         }
     }
 
-    fn touch_sector(
+    /// Touch the `n` sectors from index `s0` of line `tag` for one
+    /// transaction; `partial` marks the stored sectors the transaction
+    /// does not cover whole.
+    ///
+    /// The recency clock advances by one per sector, so `last_use` values
+    /// are globally unique and LRU replacement never ties — which makes
+    /// every decision independent of within-set storage order (a property
+    /// the wave-periodic fast-forward relies on).
+    ///
+    /// Always inlined into both entry points: this is the simulator's
+    /// innermost loop body.
+    #[inline(always)]
+    fn touch_line(
         &mut self,
-        sector_addr: u64,
+        tag: u64,
+        s0: u32,
+        n: u32,
+        partial: u32,
         is_write: bool,
-        full_cover: bool,
         next: &mut impl FnMut(NextLevel),
     ) {
         let cfg = self.cfg;
-        self.stats.requested_bytes += cfg.sector as u64;
-        // The recency clock ticks per sector transaction, so `last_use`
-        // values are globally unique and LRU replacement never ties —
-        // which makes every decision independent of within-set storage
-        // order (a property the wave-periodic fast-forward relies on).
-        self.clock += 1;
-        let line_addr = sector_addr & !(cfg.line as u64 - 1);
-        let sector_idx = ((sector_addr - line_addr) / cfg.sector as u64) as u32;
-        let bit = 1u32 << sector_idx;
-        let set_idx = ((line_addr / cfg.line as u64) as usize) % self.sets.len();
-        let tag = line_addr / cfg.line as u64;
+        let sector = cfg.sector as u64;
+        let mask = sector_mask(s0, n);
+        self.stats.requested_bytes += n as u64 * sector;
+        self.clock += n as u64;
         let clock = self.clock;
+        let base = tag << self.line_shift;
+        let (set_idx, found) = self.lookup(tag);
 
         if is_write && cfg.write == WritePolicy::ThroughNoAllocate {
-            // Write-through: forward, update in place if present.
-            next(NextLevel {
-                addr: sector_addr,
-                bytes: cfg.sector as u32,
-                is_write: true,
-            });
-            self.stats.writeout_bytes += cfg.sector as u64;
-            if let Some(way) = self.find_way(set_idx, line_addr, tag) {
+            // Write-through: forward, refresh recency if present.
+            self.emit_runs(base, mask, true, next);
+            if let Some(way) = found {
                 self.sets[set_idx][way].last_use = clock;
-                // sector contents refreshed; validity unchanged
             }
             return;
         }
 
-        if let Some(way) = self.find_way(set_idx, line_addr, tag) {
-            let l = &mut self.sets[set_idx][way];
-            l.last_use = clock;
-            if l.valid & bit != 0 {
-                self.stats.hit_sectors += 1;
-                if is_write {
-                    l.dirty |= bit;
+        let way = match found {
+            Some(way) => way,
+            None => {
+                // Line miss: allocate, possibly evicting LRU.
+                let set = &mut self.sets[set_idx];
+                if set.len() >= cfg.assoc {
+                    let lru = set
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, l)| l.last_use)
+                        .map(|(i, _)| i)
+                        .expect("non-empty set");
+                    let victim = set.swap_remove(lru);
+                    self.emit_runs(victim.tag << self.line_shift, victim.dirty, true, next);
                 }
-                return;
+                let set = &mut self.sets[set_idx];
+                set.push(Line {
+                    tag,
+                    valid: 0,
+                    dirty: 0,
+                    last_use: clock,
+                });
+                self.mru_tag = tag;
+                self.mru_set = set_idx;
+                self.mru_way = set.len() - 1;
+                self.mru_way
             }
-            // line present, sector not resident
-            self.stats.miss_sectors += 1;
-            if is_write && full_cover {
-                l.valid |= bit;
-                l.dirty |= bit;
-                return;
-            }
-            next(NextLevel {
-                addr: sector_addr,
-                bytes: cfg.sector as u32,
-                is_write: false,
-            });
-            self.stats.fill_bytes += cfg.sector as u64;
-            let l = &mut self.sets[set_idx][way];
-            l.valid |= bit;
-            if is_write {
-                l.dirty |= bit;
-            }
-            return;
-        }
-
-        // Line miss: allocate, possibly evicting LRU.
-        self.stats.miss_sectors += 1;
-        if self.sets[set_idx].len() >= cfg.assoc {
-            let lru = self.sets[set_idx]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.last_use)
-                .map(|(i, _)| i)
-                .expect("non-empty set");
-            let victim = self.sets[set_idx].swap_remove(lru);
-            Self::write_back_line(&cfg, self.sectors_per_line, &victim, &mut self.stats, next);
-        }
-        let mut line = Line {
-            tag,
-            valid: 0,
-            dirty: 0,
-            last_use: clock,
         };
-        if is_write && full_cover {
-            line.valid |= bit;
-            line.dirty |= bit;
-        } else {
-            next(NextLevel {
-                addr: sector_addr,
-                bytes: cfg.sector as u32,
-                is_write: false,
-            });
-            self.stats.fill_bytes += cfg.sector as u64;
-            line.valid |= bit;
-            if is_write {
-                line.dirty |= bit;
-            }
+        let l = &mut self.sets[set_idx][way];
+        let missing = mask & !l.valid;
+        // Reads fetch every missing sector; stores only those they cover
+        // partially.
+        let fetch = if is_write { missing & partial } else { missing };
+        l.valid |= mask;
+        if is_write {
+            l.dirty |= mask;
         }
-        self.sets[set_idx].push(line);
-        self.mru_line = line_addr;
-        self.mru_set = set_idx;
-        self.mru_way = self.sets[set_idx].len() - 1;
+        l.last_use = clock;
+        let misses = ones_within(missing, mask, n);
+        self.stats.hit_sectors += (n - misses) as u64;
+        self.stats.miss_sectors += misses as u64;
+        self.emit_runs(base, fetch, false, next);
     }
 
-    fn write_back_line(
-        cfg: &CacheConfig,
-        sectors_per_line: u32,
-        line: &Line,
-        stats: &mut CacheStats,
+    /// Report the sectors `mask` of the line at `base` as one run per
+    /// contiguous range, in ascending order, and count the bytes as fills
+    /// or write-outs.
+    #[inline(always)]
+    fn emit_runs(
+        &mut self,
+        base: u64,
+        mut mask: u32,
+        is_write: bool,
         next: &mut impl FnMut(NextLevel),
     ) {
-        if line.dirty == 0 {
-            return;
-        }
-        let base = line.tag * cfg.line as u64;
-        for s in 0..sectors_per_line {
-            if line.dirty & (1 << s) != 0 {
-                next(NextLevel {
-                    addr: base + s as u64 * cfg.sector as u64,
-                    bytes: cfg.sector as u32,
-                    is_write: true,
-                });
-                stats.writeout_bytes += cfg.sector as u64;
+        while mask != 0 {
+            let first = mask.trailing_zeros();
+            let n = (mask >> first).trailing_ones();
+            let bytes = n << self.sector_shift;
+            next(NextLevel {
+                addr: base + ((first as u64) << self.sector_shift),
+                bytes,
+                is_write,
+            });
+            if is_write {
+                self.stats.writeout_bytes += bytes as u64;
+            } else {
+                self.stats.fill_bytes += bytes as u64;
             }
+            mask &= !sector_mask(first, n);
         }
     }
 
@@ -401,16 +470,28 @@ impl Cache {
     /// what lets the wave-periodic fast-forward compare states as
     /// LRU-ordered multisets.
     pub fn flush(&mut self, next: &mut impl FnMut(NextLevel)) {
-        let cfg = self.cfg;
-        let spl = self.sectors_per_line;
-        for set in &mut self.sets {
-            let mut lines = std::mem::take(set);
+        for i in 0..self.sets.len() {
+            let mut lines = std::mem::take(&mut self.sets[i]);
             lines.sort_unstable_by_key(|l| l.tag);
             for line in &lines {
-                Self::write_back_line(&cfg, spl, line, &mut self.stats, next);
+                self.emit_runs(line.tag << self.line_shift, line.dirty, true, next);
             }
         }
-        self.mru_line = u64::MAX;
+        self.mru_tag = u64::MAX;
+    }
+
+    /// Every resident line as `(tag, valid, dirty, last_use)`, sorted —
+    /// the state the reference model is compared on.
+    #[cfg(test)]
+    pub(crate) fn resident(&self) -> Vec<(u64, u32, u32, u64)> {
+        let mut v: Vec<_> = self
+            .sets
+            .iter()
+            .flatten()
+            .map(|l| (l.tag, l.valid, l.dirty, l.last_use))
+            .collect();
+        v.sort_unstable();
+        v
     }
 
     /// Drop contents without writing back (between independent kernels).
@@ -418,7 +499,7 @@ impl Cache {
         for set in &mut self.sets {
             set.clear();
         }
-        self.mru_line = u64::MAX;
+        self.mru_tag = u64::MAX;
     }
 
     /// Translate the cached contents by `shift_lines` cache lines.
@@ -441,7 +522,7 @@ impl Cache {
                 line.tag = line.tag.wrapping_add_signed(shift_lines);
             }
         }
-        self.mru_line = u64::MAX;
+        self.mru_tag = u64::MAX;
     }
 
     /// Is `self` the state a simulation would reach from `earlier`'s input
@@ -503,6 +584,7 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache_oracle::expand;
 
     fn l1_cfg() -> CacheConfig {
         CacheConfig {
@@ -524,6 +606,8 @@ mod tests {
         }
     }
 
+    /// The next-level transactions of one access, expanded from runs into
+    /// one per sector.
     fn collect(c: &mut Cache, addr: u64, bytes: u32, is_write: bool) -> Vec<NextLevel> {
         let mut out = Vec::new();
         if is_write {
@@ -531,7 +615,13 @@ mod tests {
         } else {
             c.read(addr, bytes, &mut |t| out.push(t));
         }
-        out
+        expand(&out, c.cfg.sector as u32)
+    }
+
+    fn flushed(c: &mut Cache) -> Vec<NextLevel> {
+        let mut out = Vec::new();
+        c.flush(&mut |t| out.push(t));
+        expand(&out, c.cfg.sector as u32)
     }
 
     #[test]
@@ -540,8 +630,26 @@ mod tests {
         let t = collect(&mut c, 0, 128, false);
         assert_eq!(t.len(), 4);
         assert!(t.iter().all(|x| !x.is_write && x.bytes == 32));
+        let addrs: Vec<u64> = t.iter().map(|x| x.addr).collect();
+        assert_eq!(addrs, [0, 32, 64, 96]);
         assert_eq!(c.stats.miss_sectors, 4);
         assert_eq!(c.stats.requested_bytes, 128);
+    }
+
+    #[test]
+    fn missing_sectors_fill_as_runs() {
+        let mut c = Cache::new(l2_cfg());
+        collect(&mut c, 32, 32, false);
+        let mut runs = Vec::new();
+        c.read(0, 128, &mut |t| runs.push(t));
+        let want = |addr, bytes| NextLevel {
+            addr,
+            bytes,
+            is_write: false,
+        };
+        assert_eq!(runs, [want(0, 32), want(64, 64)]);
+        assert_eq!(c.stats.hit_sectors, 1);
+        assert_eq!(c.stats.line_visits, 2);
     }
 
     #[test]
@@ -556,9 +664,12 @@ mod tests {
     #[test]
     fn unaligned_read_touches_extra_sector() {
         let mut c = Cache::new(l2_cfg());
-        // 64 bytes starting at 16 spans sectors 0,16..etc: [0,32),[32,64),[64,96)
+        // 64 bytes starting at 16 spans sectors [0,32),[32,64),[64,96)
         let t = collect(&mut c, 16, 64, false);
         assert_eq!(t.len(), 3);
+        let addrs: Vec<u64> = t.iter().map(|x| x.addr).collect();
+        assert_eq!(addrs, [0, 32, 64]);
+        assert!(t.iter().all(|x| !x.is_write && x.bytes == 32));
         assert_eq!(c.stats.requested_bytes, 96);
     }
 
@@ -569,8 +680,7 @@ mod tests {
         assert!(t.is_empty(), "no fetch on full-sector store");
         assert_eq!(c.stats.fill_bytes, 0);
         // flush writes the dirty sectors back
-        let mut wb = Vec::new();
-        c.flush(&mut |t| wb.push(t));
+        let wb = flushed(&mut c);
         assert_eq!(wb.len(), 4);
         assert!(wb.iter().all(|x| x.is_write));
     }
@@ -581,8 +691,7 @@ mod tests {
         let t = collect(&mut c, 8, 8, true);
         assert_eq!(t.len(), 1);
         assert!(!t[0].is_write, "partial write must fetch");
-        let mut wb = Vec::new();
-        c.flush(&mut |t| wb.push(t));
+        let wb = flushed(&mut c);
         assert_eq!(wb.len(), 1);
         assert_eq!(wb[0].bytes, 32);
     }
@@ -592,7 +701,9 @@ mod tests {
         let mut c = Cache::new(l1_cfg());
         let t = collect(&mut c, 0, 64, true);
         assert_eq!(t.len(), 2);
-        assert!(t.iter().all(|x| x.is_write));
+        assert!(t.iter().all(|x| x.is_write && x.bytes == 32));
+        let addrs: Vec<u64> = t.iter().map(|x| x.addr).collect();
+        assert_eq!(addrs, [0, 32]);
         assert_eq!(c.stats.writeout_bytes, 64);
         // subsequent read misses (store did not allocate)
         let t = collect(&mut c, 0, 32, false);

@@ -66,6 +66,18 @@ impl DramModel {
         }
     }
 
+    /// Present a run of `bytes` at `addr` as one [`access`](Self::access)
+    /// per `sector`-byte transaction, in address order.
+    #[inline]
+    pub fn access_sectors(&mut self, addr: u64, bytes: u32, sector: usize) {
+        let end = addr + bytes as u64;
+        let mut a = addr;
+        while a < end {
+            self.access(a);
+            a += sector as u64;
+        }
+    }
+
     /// Translate the open-page state by `shift_pages` rows.
     ///
     /// `bank = page % NUM_BANKS`, so adding a constant to every page id

@@ -2,10 +2,12 @@
 //!
 //! Blocks launch in waves of `num_sms × blocks_per_sm` — the concurrently
 //! resident set the occupancy model predicts. Within a wave each SM runs
-//! its blocks through its private L1 (in parallel, one Rayon task per SM;
-//! L1 state persists across waves), buffering the per-block L1-miss
-//! streams. The streams then feed the shared L2 sequentially, interleaved
-//! round-robin in small chunks to approximate concurrent execution —
+//! its blocks through its private L1 (in parallel, one Rayon task per SM,
+//! inline when the simulation itself runs on a sweep worker; L1 state
+//! persists across waves), buffering the per-block L1-miss streams as
+//! runs of whole sectors. The streams then feed the shared L2
+//! sequentially, interleaved round-robin in chunks of L1 sectors to
+//! approximate concurrent execution —
 //! deterministically, so every simulation of the same workload produces
 //! identical byte counts. L2 misses and write-backs accumulate into the
 //! DRAM counters; a final flush accounts the write-back of the resident
@@ -43,7 +45,7 @@ pub enum SimFidelity {
     /// ([`brick_vm::BlockClasses`]) and replay it with a per-block address
     /// rebase through the batched [`Cache::access_run`] entry. SMs whose
     /// whole launch schedule is a line-aligned translation of another
-    /// SM's share one L1 simulation (see [`plan_sm_groups`]).
+    /// SM's share one L1 simulation (see `plan_sm_groups`).
     #[default]
     Fast,
 }
@@ -228,14 +230,16 @@ impl FromStr for SimFidelity {
 pub struct SimOptions {
     /// Trace generation mode; see [`SimFidelity`].
     pub fidelity: SimFidelity,
-    /// Events fed to the L2 per stream before rotating to the next block's
-    /// stream. Real blocks start staggered and retire continuously rather
-    /// than running in lock-step, so a coarse interleave (about one block's
-    /// compulsory footprint per turn) approximates the pipelined miss
-    /// stream an L2 actually sees; a fine-grained rotation would overstate
-    /// conflict misses on small L2s (MI250X) by maximising every reuse
-    /// distance. The default of 1024 is part of the simulator's schema —
-    /// changing it changes every simulated byte count.
+    /// L1 sector transactions fed to the L2 per stream before rotating to
+    /// the next block's stream (a miss run is split at the chunk
+    /// boundary, so the L2 sees the same transaction order whatever the
+    /// run lengths). Real blocks start staggered and retire continuously
+    /// rather than running in lock-step, so a coarse interleave (about one
+    /// block's compulsory footprint per turn) approximates the pipelined
+    /// miss stream an L2 actually sees; a fine-grained rotation would
+    /// overstate conflict misses on small L2s (MI250X) by maximising every
+    /// reuse distance. The default of 1024 is part of the simulator's
+    /// schema — changing it changes every simulated byte count.
     pub interleave_chunk: usize,
 }
 
@@ -302,7 +306,7 @@ impl MemoryReport {
     }
 }
 
-fn l1_config(arch: &GpuArch) -> CacheConfig {
+pub(crate) fn l1_config(arch: &GpuArch) -> CacheConfig {
     CacheConfig {
         bytes: arch.l1_bytes,
         line: arch.l1_line,
@@ -312,7 +316,7 @@ fn l1_config(arch: &GpuArch) -> CacheConfig {
     }
 }
 
-fn l2_config(arch: &GpuArch) -> CacheConfig {
+pub(crate) fn l2_config(arch: &GpuArch) -> CacheConfig {
     CacheConfig {
         bytes: arch.l2_bytes,
         line: arch.l2_line,
@@ -551,39 +555,53 @@ fn simulate_memory_inner(
             }
         }
 
-        // Feed the shared L2: round-robin chunks across the wave's blocks.
-        // Each chunk belongs to exactly one block, so when introspecting,
-        // the L2/DRAM/page deltas it causes are attributed to that block's
-        // class by differencing the counters around the chunk.
-        let mut cursors = vec![0usize; wave_len];
-        let mut remaining: usize = streams.iter().map(|(s, _)| s.len()).sum();
+        // Feed the shared L2: round-robin chunks of `interleave_chunk` L1
+        // sectors across the wave's blocks, splitting a run at a chunk
+        // boundary. Each chunk belongs to exactly one block, so when
+        // introspecting, the L2/DRAM/page deltas it causes are attributed
+        // to that block's class by differencing the counters around the
+        // chunk.
+        let l1_sector_shift = arch.l1_sector.trailing_zeros();
+        let run_sectors = |t: &NextLevel| (t.bytes >> l1_sector_shift) as usize;
+        // Per stream: (next run, sectors of it already fed).
+        let mut cursors = vec![(0usize, 0usize); wave_len];
+        let mut remaining: usize = streams
+            .iter()
+            .map(|(s, _)| s.iter().map(run_sectors).sum::<usize>())
+            .sum();
         while remaining > 0 {
             for (pos, (&(stream, shift), cursor)) in
                 streams.iter().zip(cursors.iter_mut()).enumerate()
             {
-                let end = (*cursor + interleave_chunk).min(stream.len());
-                let before = (introspect && end > *cursor).then_some((
-                    l2.stats,
-                    dram_read,
-                    dram_write,
-                    dram.hits,
-                    dram.misses,
-                ));
-                for t in &stream[*cursor..end] {
-                    let addr = t.addr.wrapping_add_signed(shift);
-                    let dram = &mut dram;
-                    let mut lower = |n: NextLevel| {
-                        dram.access(n.addr);
-                        if n.is_write {
-                            dram_write += n.bytes as u64;
-                        } else {
-                            dram_read += n.bytes as u64;
-                        }
-                    };
-                    if t.is_write {
-                        l2.write(addr, t.bytes, &mut lower);
+                let (mut run, mut fed) = *cursor;
+                if run == stream.len() {
+                    continue;
+                }
+                let before =
+                    introspect.then_some((l2.stats, dram_read, dram_write, dram.hits, dram.misses));
+                let mut budget = interleave_chunk;
+                let mut lower = |n: NextLevel| {
+                    dram.access_sectors(n.addr, n.bytes, arch.l2_sector);
+                    if n.is_write {
+                        dram_write += n.bytes as u64;
                     } else {
-                        l2.read(addr, t.bytes, &mut lower);
+                        dram_read += n.bytes as u64;
+                    }
+                };
+                while budget > 0 && run < stream.len() {
+                    let t = stream[run];
+                    let take = (run_sectors(&t) - fed).min(budget);
+                    let piece = NextLevel {
+                        addr: t.addr.wrapping_add_signed(shift) + ((fed as u64) << l1_sector_shift),
+                        bytes: (take << l1_sector_shift) as u32,
+                        is_write: t.is_write,
+                    };
+                    l2.access_sectors(piece, arch.l1_sector as u32, &mut lower);
+                    budget -= take;
+                    fed += take;
+                    if fed == run_sectors(&t) {
+                        run += 1;
+                        fed = 0;
                     }
                 }
                 if let (Some(acc), Some((s0, r0, w0, h0, m0))) = (intro.as_mut(), before) {
@@ -595,8 +613,8 @@ fn simulate_memory_inner(
                     b.page_hits += dram.hits - h0;
                     b.page_misses += dram.misses - m0;
                 }
-                remaining -= end - *cursor;
-                *cursor = end;
+                remaining -= interleave_chunk - budget;
+                *cursor = (run, fed);
             }
         }
         wave_start += wave_len;
@@ -745,7 +763,7 @@ fn simulate_memory_inner(
     // write-backs, so the attribution gives them their own bucket.
     let flush_before = introspect.then_some((l2.stats, dram_write, dram.hits, dram.misses));
     l2.flush(&mut |n| {
-        dram.access(n.addr);
+        dram.access_sectors(n.addr, n.bytes, arch.l2_sector);
         if n.is_write {
             dram_write += n.bytes as u64;
         }
@@ -938,6 +956,42 @@ mod tests {
         let a = simulate_memory(&spec, &geom, &arch, 8).counters();
         let b = simulate_memory(&spec, &geom, &arch, 8).counters();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn fine_interleave_chunks_split_runs_at_sector_boundaries() {
+        // A100 L1 runs carry up to 4 sectors; chunks of 1 and 3 L1
+        // sectors split them. The pinned counters are those of the
+        // per-sector L2 feed (one transaction per L1 sector), in both
+        // fidelities.
+        let spec = vector_spec(StencilShape::star(1), LayoutKind::Brick, 32);
+        let geom = brick_geom(64, 32, 1);
+        let arch = GpuArch::a100();
+        for (chunk, hits, misses) in [(1, 56292, 87068), (3, 93668, 49692)] {
+            for fidelity in [SimFidelity::Fast, SimFidelity::Exact] {
+                let opts = SimOptions {
+                    fidelity,
+                    interleave_chunk: chunk,
+                };
+                let r = simulate_memory_opts(&spec, &geom, &arch, 8, &opts);
+                let what = format!("chunk {chunk} {fidelity}");
+                assert_eq!(
+                    r.l2,
+                    CacheStats {
+                        accesses: 212992,
+                        requested_bytes: 6815744,
+                        hit_sectors: 69632,
+                        miss_sectors: 143360,
+                        fill_bytes: 2490368,
+                        writeout_bytes: 2097152,
+                        line_visits: 212992,
+                    },
+                    "{what}"
+                );
+                assert_eq!((r.dram_read_bytes, r.dram_write_bytes), (2490368, 2097152));
+                assert_eq!((r.pages.hits, r.pages.misses), (hits, misses), "{what}");
+            }
+        }
     }
 
     #[test]

@@ -56,6 +56,8 @@
 
 pub mod arch;
 pub mod cache;
+#[cfg(test)]
+mod cache_oracle;
 pub mod compiler;
 pub mod dram;
 pub mod hierarchy;

@@ -16,8 +16,15 @@ use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize, Value};
+
+/// Per-write temp-file suffix, so concurrent writers of one key inside a
+/// process never share a temp file (one writer's rename would publish
+/// another's half-written bytes).
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Envelope format version; bump when the on-disk layout changes so old
 /// entries invalidate cleanly instead of mis-parsing.
@@ -108,6 +115,10 @@ pub enum CacheOutcome<T> {
 #[derive(Debug, Clone)]
 pub struct DiskCache {
     dir: PathBuf,
+    /// This handle's probe outcomes `[hits, misses, corrupt]`, shared with
+    /// its clones. Unlike the process-global `sweep.cache.*` counters,
+    /// runs that overlap in one process do not mix into them.
+    probes: Arc<[AtomicU64; 3]>,
 }
 
 impl DiskCache {
@@ -115,7 +126,24 @@ impl DiskCache {
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<DiskCache> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        Ok(DiskCache { dir })
+        Ok(DiskCache {
+            dir,
+            probes: Arc::default(),
+        })
+    }
+
+    /// `(hits, misses, corrupt)` probes made through this handle (and its
+    /// clones) since it was opened.
+    pub fn probes(&self) -> (u64, u64, u64) {
+        let [h, m, c] = &*self.probes;
+        let get = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        (get(h), get(m), get(c))
+    }
+
+    /// Count one probe outcome, here and in the global counter `name`.
+    fn count(&self, outcome: usize, name: &str) {
+        self.probes[outcome].fetch_add(1, Ordering::Relaxed);
+        brick_obs::counter_add(name, 1);
     }
 
     /// The cache directory.
@@ -135,7 +163,7 @@ impl DiskCache {
         let text = match fs::read_to_string(&path) {
             Ok(t) => t,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                brick_obs::counter_add("sweep.cache.misses", 1);
+                self.count(1, "sweep.cache.misses");
                 return CacheOutcome::Miss;
             }
             Err(e) => return self.corrupt(key, format!("unreadable: {e}")),
@@ -158,7 +186,7 @@ impl DiskCache {
         };
         match serde_json::from_value::<T>(value) {
             Ok(v) => {
-                brick_obs::counter_add("sweep.cache.hits", 1);
+                self.count(0, "sweep.cache.hits");
                 CacheOutcome::Hit(v)
             }
             Err(e) => self.corrupt(key, format!("stale value shape: {e}")),
@@ -166,7 +194,7 @@ impl DiskCache {
     }
 
     fn corrupt<T>(&self, key: &CacheKey, reason: String) -> CacheOutcome<T> {
-        brick_obs::counter_add("sweep.cache.corrupt", 1);
+        self.count(2, "sweep.cache.corrupt");
         brick_obs::warn!(
             "cache entry {} unusable ({reason}); recomputing",
             key.file_name()
@@ -189,9 +217,12 @@ impl DiskCache {
         ]);
         let text = serde_json::to_string(&envelope)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let tmp = self
-            .dir
-            .join(format!(".{}.tmp-{}", key.file_name(), std::process::id()));
+        let tmp = self.dir.join(format!(
+            ".{}.tmp-{}-{}",
+            key.file_name(),
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         fs::write(&tmp, text)?;
         fs::rename(&tmp, self.path_for(key))?;
         Ok(())
@@ -272,6 +303,20 @@ mod tests {
     }
 
     #[test]
+    fn probes_count_per_handle() {
+        let (a, b) = (tmp_cache("probes_a"), tmp_cache("probes_b"));
+        let k = key(64);
+        assert!(matches!(a.get::<u64>(&k), CacheOutcome::Miss));
+        a.put(&k, &1u64).unwrap();
+        let clone = a.clone();
+        assert!(matches!(clone.get::<u64>(&k), CacheOutcome::Hit(1)));
+        fs::write(b.path_for(&k), "{not json").unwrap();
+        assert!(matches!(b.get::<u64>(&k), CacheOutcome::Corrupt(_)));
+        assert_eq!(a.probes(), (1, 1, 0), "clones share the handle's counts");
+        assert_eq!(b.probes(), (0, 0, 1), "other handles do not mix in");
+    }
+
+    #[test]
     fn garbage_entry_reads_as_corrupt() {
         let c = tmp_cache("garbage");
         let k = key(64);
@@ -290,6 +335,31 @@ mod tests {
         other.desc.push_str(";extra=1"); // same file name, different desc
         c.put(&other, &1u64).unwrap();
         assert!(matches!(c.get::<u64>(&k), CacheOutcome::Corrupt(_)));
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_key_leave_a_whole_entry() {
+        // Parallel sweep cells can share a key. Every racing put must
+        // succeed and the entry must read back whole.
+        let c = tmp_cache("race");
+        let k = key(64);
+        let value: Vec<u64> = (0..20_000).collect();
+        let threads = 4;
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..25 {
+                        c.put(&k, &value).expect("racing put succeeds");
+                    }
+                });
+            }
+        });
+        match c.get::<Vec<u64>>(&k) {
+            CacheOutcome::Hit(v) => assert_eq!(v, value),
+            other => panic!("expected a whole entry, got {other:?}"),
+        }
     }
 
     #[test]

@@ -545,15 +545,6 @@ pub fn tune_matrix(opts: &TuneOptions) -> Result<TuneReport, TuneError> {
         Some(dir) => Some(DiskCache::open(dir).map_err(|e| TuneError::Cache(e.to_string()))?),
         None => None,
     };
-    let cache_counters = || {
-        (
-            brick_obs::counter_value("sweep.cache.hits"),
-            brick_obs::counter_value("sweep.cache.misses"),
-            brick_obs::counter_value("sweep.cache.corrupt"),
-        )
-    };
-    let cache_before = cache_counters();
-
     // Empirical rooflines per target (reported in records; pruning uses
     // the theoretical ceilings, which dominate these).
     let rooflines: Vec<Roofline> = opts
@@ -906,17 +897,12 @@ pub fn tune_matrix(opts: &TuneOptions) -> Result<TuneReport, TuneError> {
         });
     }
 
-    let cache_after = cache_counters();
     let manifest = manifest
         .finish(start.elapsed().as_secs_f64(), record_wall_s)
         .with_sweep_info(
             &opts.fidelity.to_string(),
             opts.jobs.count() as u64,
-            (
-                cache_after.0 - cache_before.0,
-                cache_after.1 - cache_before.1,
-                cache_after.2 - cache_before.2,
-            ),
+            cache.as_ref().map_or((0, 0, 0), DiskCache::probes),
         )
         .with_tune_info(
             opts.space.fingerprint(),

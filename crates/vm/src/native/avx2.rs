@@ -1,6 +1,6 @@
 //! AVX2+FMA row backend (x86-64).
 //!
-//! This module and [`super::neon`] are the only places in the workspace
+//! This module and `super::neon` are the only places in the workspace
 //! allowed to use `unsafe` (the crate downgrades the workspace-wide
 //! `unsafe_code = "forbid"` to `deny` exactly for them; see
 //! `crates/vm/Cargo.toml`). The safety argument has three layers:

@@ -51,7 +51,7 @@
 //!    are constant offsets into the previous plane, resolved here.
 //!
 //! Everything in this module is safe code. The preconditions the SIMD
-//! evaluators in [`super::avx2`]/[`super::neon`] rely on are discharged
+//! evaluators in `super::avx2`/`super::neon` rely on are discharged
 //! *statically* by the brick-safe prover ([`super::safe`]) at
 //! `Plan::compile` time (BS001–BS014), plus one cheap per-run premise
 //! check in `crate::exec` (slab length and adjacency-table validity);

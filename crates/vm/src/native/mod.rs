@@ -7,7 +7,7 @@
 //! kernels are supposed to have, in two layers:
 //!
 //! 1. **Lowering** ([`Plan::compile`]): the verified IR is lowered once per
-//!    kernel to fused row tapes ([`fuse`]) — one accumulator program per
+//!    kernel to fused row tapes (`fuse`) — one accumulator program per
 //!    output row, reading taps straight from the input grid, with no
 //!    register file. Temporally fused kernels, whose shifts read
 //!    *computed* rows, lower to one stage of tapes per fused level: the
@@ -16,7 +16,7 @@
 //!    Tapes are the only compiled form: a kernel the fusion analysis
 //!    declines (it names why, [`Plan::fallback_reason`]) runs on the
 //!    interpreter under every native backend.
-//! 2. **Row backends** ([`RowOps`]): the stages of a fused kernel execute
+//! 2. **Row backends** (`RowOps`): the stages of a fused kernel execute
 //!    through a monomorphic backend — a safe portable evaluator (the
 //!    `Auto` floor on hosts without SIMD), AVX2+FMA intrinsics behind
 //!    `is_x86_feature_detected!`, or NEON on aarch64.
@@ -31,10 +31,10 @@
 //!
 //! # Safety argument
 //!
-//! The `unsafe` surface is confined to the [`avx2`]/[`neon`] submodules
+//! The `unsafe` surface is confined to the `avx2`/`neon` submodules
 //! (pointer arithmetic into the input slab, the planes and the output
 //! block). Its preconditions are discharged *statically* by
-//! **brick-safe** ([`safe`]): an abstract-interpretation pass over the
+//! **brick-safe** (`safe`): an abstract-interpretation pass over the
 //! fused `RowProg` program that [`Plan::compile`] runs before the plan
 //! can reach a dispatcher. Each precondition is a named obligation with a
 //! stable `BSxxx` diagnostic code (catalogued in DESIGN.md §13); an
@@ -54,7 +54,7 @@
 //!   (whole-brick slab with valid interior adjacency rows; array tap
 //!   intervals inside the padded slab via `Plan::check_array_geometry`);
 //! * debug-build re-checks of the resolved tap tables in the fused
-//!   evaluators ([`fuse::check_taps`]).
+//!   evaluators (`fuse::check_taps`).
 
 pub(crate) mod fuse;
 mod plan;

@@ -17,7 +17,7 @@ use crate::exec::VmError;
 
 /// A compiled kernel: the fused-row program (when the kernel fuses) plus
 /// the shape facts the executors rely on. Fields are crate-visible so the
-/// brick-safe prover ([`super::safe`]) can walk — and, in its mutation
+/// brick-safe prover (`super::safe`) can walk — and, in its mutation
 /// harness, perturb — the lowered program; external code goes through
 /// the accessors.
 #[derive(Debug, Clone)]

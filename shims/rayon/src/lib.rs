@@ -9,6 +9,11 @@
 //! rayon's work stealing at this granularity). `map` is eager — it
 //! evaluates in parallel immediately and yields an ordered result — which
 //! is observationally equivalent for the pipelines here.
+//!
+//! A parallel iterator evaluated *on a worker* (nested inside another
+//! parallel call) runs inline on that worker, in input order, as it would
+//! on real rayon's fixed pool when every other worker is busy: nesting
+//! never spawns threads beyond the outer call's workers.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -23,6 +28,19 @@ thread_local! {
     /// Worker count installed by [`ThreadPool::install`] on this thread;
     /// `None` means "use all available parallelism".
     static POOL_THREADS: Cell<Option<usize>> = const { Cell::new(None) };
+    /// Set on the worker threads this shim spawns; parallel iterators
+    /// evaluated there run inline.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Threads a parallel call over `n` items uses: one (inline) on a worker,
+/// else [`current_num_threads`] capped at `n`.
+fn call_threads(n: usize) -> usize {
+    if IN_WORKER.with(|w| w.get()) {
+        1
+    } else {
+        current_num_threads().min(n)
+    }
 }
 
 /// Builder mirroring `rayon::ThreadPoolBuilder` for the one option this
@@ -107,7 +125,7 @@ pub fn current_num_threads() -> usize {
 /// input order.
 fn par_eval<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
     let n = items.len();
-    let threads = current_num_threads().min(n);
+    let threads = call_threads(n);
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
@@ -116,14 +134,17 @@ fn par_eval<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R
     let next = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
+            s.spawn(|| {
+                IN_WORKER.with(|w| w.set(true));
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    let item = slots[i].lock().unwrap().take().expect("item taken once");
+                    let r = f(item);
+                    *out[i].lock().unwrap() = Some(r);
                 }
-                let item = slots[i].lock().unwrap().take().expect("item taken once");
-                let r = f(item);
-                *out[i].lock().unwrap() = Some(r);
             });
         }
     });
@@ -140,7 +161,7 @@ fn par_for_each_init<T: Send, S>(
     f: impl Fn(&mut S, T) + Sync,
 ) {
     let n = items.len();
-    let threads = current_num_threads().min(n);
+    let threads = call_threads(n);
     if threads <= 1 {
         let mut state = init();
         for item in items {
@@ -153,6 +174,7 @@ fn par_for_each_init<T: Send, S>(
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| {
+                IN_WORKER.with(|w| w.set(true));
                 let mut state = init();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -316,6 +338,72 @@ mod tests {
                 "{n} inits for {threads} workers"
             );
         }
+    }
+
+    #[test]
+    fn nested_calls_run_inline_on_the_pool_workers() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        let pool = crate::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        let outer_ids: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
+        let inner_ids: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
+        let mut rows = vec![vec![0u32; 64]; 8];
+        pool.install(|| {
+            rows.par_iter_mut().enumerate().for_each(|(r, row)| {
+                let me = std::thread::current().id();
+                outer_ids.lock().unwrap().insert(me);
+                let out: Vec<u32> = row
+                    .par_iter_mut()
+                    .enumerate()
+                    .map(|(i, x)| {
+                        // every nested item runs on the worker that
+                        // called the nested iterator
+                        assert_eq!(std::thread::current().id(), me);
+                        inner_ids.lock().unwrap().insert(me);
+                        *x = (r * 64 + i) as u32;
+                        *x
+                    })
+                    .collect();
+                assert_eq!(
+                    out,
+                    (0..64).map(|i| (r * 64 + i) as u32).collect::<Vec<_>>()
+                );
+            });
+        });
+        let outer = outer_ids.into_inner().unwrap();
+        assert!(outer.len() <= 2, "{} outer workers", outer.len());
+        assert!(inner_ids.into_inner().unwrap().is_subset(&outer));
+        assert!(!outer.contains(&std::thread::current().id()));
+        for (r, row) in rows.iter().enumerate() {
+            assert!(row
+                .iter()
+                .enumerate()
+                .all(|(i, &x)| x == (r * 64 + i) as u32));
+        }
+
+        // A top-level call still fans out to `current_num_threads()`
+        // workers, and the caller is not marked as one.
+        assert!(!crate::IN_WORKER.with(|w| w.get()));
+        let threads = 3;
+        let pool = crate::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let started = std::sync::Barrier::new(threads);
+        let ids: Mutex<HashSet<std::thread::ThreadId>> = Mutex::new(HashSet::new());
+        pool.install(|| {
+            assert_eq!(crate::current_num_threads(), threads);
+            let mut v = vec![0u8; threads];
+            v.par_iter_mut().for_each(|_| {
+                // all `threads` items run at once, so each on its own worker
+                started.wait();
+                ids.lock().unwrap().insert(std::thread::current().id());
+            });
+        });
+        assert_eq!(ids.into_inner().unwrap().len(), threads);
     }
 
     #[test]
